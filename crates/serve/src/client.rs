@@ -6,8 +6,8 @@
 //! handful of JSON fields it needs with small scanners rather than a
 //! full parser — the server's bodies are machine-generated and flat.
 
-use crate::http::{read_response, Response};
-use std::io::{BufReader, Write};
+use crate::http::{read_response, write_request, Response};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,7 +51,7 @@ pub fn request_retry(
 }
 
 fn request_on(
-    mut stream: TcpStream,
+    stream: TcpStream,
     addr: &str,
     method: &str,
     path: &str,
@@ -60,13 +60,8 @@ fn request_on(
     stream
         .set_read_timeout(Some(Duration::from_secs(600)))
         .map_err(|e| format!("set_read_timeout: {e}"))?;
-    write!(stream, "{method} {path} HTTP/1.1\r\nHost: {addr}\r\n")
-        .map_err(|e| format!("send: {e}"))?;
-    write!(stream, "Content-Length: {}\r\nConnection: close\r\n\r\n", body.len())
-        .map_err(|e| format!("send: {e}"))?;
-    stream.write_all(body).map_err(|e| format!("send: {e}"))?;
-    stream.flush().map_err(|e| format!("send: {e}"))?;
-    let mut reader = BufReader::new(stream);
+    write_request(&mut &stream, method, path, addr, body).map_err(|e| format!("send: {e}"))?;
+    let mut reader = BufReader::new(&stream);
     read_response(&mut reader).map_err(|e| format!("response from {addr}: {e}"))
 }
 

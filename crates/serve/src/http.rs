@@ -263,8 +263,19 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Appends `body` to the assembled `head` and hands the whole message
+/// to the transport in a single `write_all`: a message that fits the
+/// socket buffer is one `write(2)` and one TCP segment train instead
+/// of one small segment per header line.
+fn send_message<W: Write>(w: &mut W, mut head: Vec<u8>, body: &[u8]) -> std::io::Result<()> {
+    head.extend_from_slice(body);
+    w.write_all(&head)?;
+    w.flush()
+}
+
 /// Writes a complete response with `Content-Length` framing and
-/// `Connection: close`, plus any extra headers.
+/// `Connection: close`, plus any extra headers, in one write
+/// (`send_message`).
 ///
 /// # Errors
 ///
@@ -276,19 +287,42 @@ pub fn write_response<W: Write>(
     body: &[u8],
     extra: &[(&str, &str)],
 ) -> std::io::Result<()> {
-    write!(w, "HTTP/1.1 {} {}\r\n", status, reason(status))?;
+    let mut msg: Vec<u8> = Vec::with_capacity(160 + body.len());
     write!(
-        w,
-        "Content-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+        msg,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+        status,
+        reason(status),
         content_type,
         body.len()
     )?;
     for (k, v) in extra {
-        write!(w, "{k}: {v}\r\n")?;
+        write!(msg, "{k}: {v}\r\n")?;
     }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
-    w.flush()
+    msg.extend_from_slice(b"\r\n");
+    send_message(w, msg, body)
+}
+
+/// Writes a complete request (client side) the same way: one buffer,
+/// one write.
+///
+/// # Errors
+///
+/// Propagates transport errors.
+pub fn write_request<W: Write>(
+    w: &mut W,
+    method: &str,
+    target: &str,
+    host: &str,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let mut msg: Vec<u8> = Vec::with_capacity(128 + target.len() + body.len());
+    write!(
+        msg,
+        "{method} {target} HTTP/1.1\r\nHost: {host}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    )?;
+    send_message(w, msg, body)
 }
 
 /// One parsed response (client side).
@@ -418,6 +452,41 @@ mod tests {
         );
         let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE + 10));
         assert_eq!(req(&long), Err(HttpError::LineTooLong));
+    }
+
+    /// Counts `write` calls: the one-segment contract of both writers.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_reaches_the_transport_in_one_write() {
+        let mut w = CountingWriter { writes: 0, bytes: Vec::new() };
+        let body = vec![b'x'; 100_000];
+        write_response(&mut w, 200, "application/json", &body, &[("X-A", "1"), ("X-B", "2")])
+            .unwrap();
+        assert_eq!(w.writes, 1, "response head + headers + body must be one write");
+        let mut w = CountingWriter { writes: 0, bytes: Vec::new() };
+        write_request(&mut w, "POST", "/jobs?iterations=2", "127.0.0.1:7171", &body).unwrap();
+        assert_eq!(w.writes, 1, "request head + body must be one write");
+        // and what was written is what the server parser reads back
+        let r = parse_request(&mut Cursor::new(w.bytes), 1 << 20).unwrap();
+        assert_eq!((r.method.as_str(), r.path.as_str()), ("POST", "/jobs"));
+        assert_eq!(r.query, vec![("iterations".into(), "2".into())]);
+        assert_eq!(r.body, body);
     }
 
     #[test]

@@ -1,6 +1,44 @@
 //! The routing daemon: job table, bounded FIFO queue, warm-workspace
 //! worker pool, checksum-keyed result cache, and graceful drain.
 //!
+//! # The request path
+//!
+//! One acceptor thread parks in a *blocking* `accept()` and hands each
+//! connection to its own short-lived handler thread (one request per
+//! connection, `Connection: close`), so a request that finds the daemon
+//! idle costs a connect, one read, the handler's work and one write —
+//! no polling interval sits between a client and its answer. Both
+//! directions move a whole
+//! message in one `write_all` ([`http::write_response`],
+//! `http::write_request`) over the connection's single descriptor.
+//! Thread-per-connection stays on purpose: a fixed handler pool was
+//! measured slightly faster but needs a sizing constant, and until
+//! connections have their own short timeouts a handful of idle peers
+//! would hold every pool slot for the 30 s read timeout.
+//!
+//! What thread-per-connection lacks is a bound on how fast threads are
+//! made, so the acceptor *paces admission* with a token bucket
+//! (`book_admission`): a connection is handed to its handler every
+//! [`ADMIT_INTERVAL`], and a daemon that has fallen behind that
+//! schedule — it was idle, or a wake-up came late — may admit up to
+//! [`ADMIT_BURST`] connections back to back to catch up. A request that
+//! finds the daemon idle is therefore never delayed, and under
+//! sustained back-to-back arrivals exactly one is admitted per
+//! interval: the schedule is a chain of absolute deadlines, so a slow
+//! handler, a late timer or a stolen vCPU delay one admission and are
+//! made up by the next ones instead of accumulating. The price is a
+//! ceiling of 2 500 requests/s where the unpaced path reaches
+//! 8 000–17 000 on two cores; DESIGN.md ("Admission pacing") has the
+//! numbers and the reason the ceiling is where it is.
+//!
+//! A blocking acceptor cannot poll a flag, so a drain *wakes* it:
+//! `begin_drain` sets `draining`, notifies the queue condvar and makes
+//! one throw-away connection to the daemon's own listening address
+//! (the loopback address of the same family when the bind address is
+//! unspecified). The acceptor re-checks `draining` after every
+//! `accept()` and exits; a connection accepted after the flag is
+//! dropped unanswered, exactly as the unaccepted backlog is.
+//!
 //! # Life of a job
 //!
 //! `POST /jobs` parses the `cdst/1` body, resolves the router
@@ -10,7 +48,21 @@
 //! FNV-1a key over (canonical bytes, resolved config) indexes the
 //! result cache: a hit creates an already-`done` job served from the
 //! archived response — byte-identical to the fresh run's, at zero
-//! routing cost. A miss enqueues the job on a bounded FIFO queue
+//! routing cost.
+//!
+//! Parsing and re-serialising a document costs milliseconds at bench
+//! scale, so a *byte-identical* resubmission skips both: the raw
+//! submission memo maps FNV-1a over (body bytes, decoded query pairs)
+//! to the canonical key that submission resolved to. Parse, config
+//! resolution and canonicalisation are pure functions of exactly those
+//! bytes, so equal raw bytes imply an equal canonical key and the memo
+//! can never answer with another document's result. It is consulted
+//! only to reach a cache entry that exists: no memo, a memoised key
+//! whose result is not cached (still running, cancelled, never
+//! accepted), a different spelling of the same document or a
+//! malformed body all take the canonical path below, unchanged.
+//!
+//! A miss enqueues the job on a bounded FIFO queue
 //! (`503` when full — backpressure, not buffering). Each worker thread
 //! owns one warm [`WorkerPool`] whose oracle workspaces and scratch
 //! forests persist across jobs *and chips*; warm reuse is bit-identical
@@ -34,8 +86,8 @@
 //! consistent) outcome — partial results are never cached.
 //!
 //! `POST /shutdown` (or [`ServerHandle::shutdown`]) drains: the
-//! acceptor stops taking connections, workers finish the queue,
-//! in-flight jobs complete, and every thread joins — no signal
+//! acceptor is woken and stops taking connections, workers finish the
+//! queue, in-flight jobs complete, and every thread joins — no signal
 //! handling, no aborted routes.
 
 use crate::http::{self, Request};
@@ -45,10 +97,10 @@ use cds_router::{Router, RouterConfig, RunControl, WorkerPool};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Daemon tuning; every bound is explicit.
 #[derive(Debug, Clone)]
@@ -115,16 +167,23 @@ struct IterProgress {
     wall_s: f64,
 }
 
-/// One job record. `doc`/`config` are taken by the worker when the job
-/// starts; everything else is status-endpoint state.
+/// What a worker needs to route a job: the parsed document and its
+/// resolved configuration.
+struct JobInput {
+    doc: ChipDoc,
+    config: RouterConfig,
+}
+
+/// One job record. `input` is taken by the worker when the job starts
+/// (a job served from the cache never has one); everything else is
+/// status-endpoint state.
 struct Job {
     state: JobState,
     cached: bool,
     cancel_requested: bool,
     key: u64,
     ctrl: Arc<RunControl>,
-    doc: Option<Box<ChipDoc>>,
-    config: RouterConfig,
+    input: Option<Box<JobInput>>,
     total_iterations: usize,
     progress: Vec<IterProgress>,
     result: Option<ResultEntry>,
@@ -134,17 +193,53 @@ struct Job {
 /// Shared daemon state.
 struct State {
     config: ServeConfig,
+    /// The bound listening address — a plain field, so `begin_drain`
+    /// can make its wake connection without holding any lock.
+    addr: SocketAddr,
     jobs: Mutex<Vec<Job>>,
     queue: Mutex<VecDeque<usize>>,
     queue_cv: Condvar,
     cache: Mutex<HashMap<u64, ResultEntry>>,
+    /// Raw-submission memo: `raw_submission_key` → what that exact
+    /// submission resolved to (see the module docs for why it is sound).
+    raw_memo: Mutex<HashMap<u64, Resolved>>,
     draining: AtomicBool,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     /// Submissions that attached to an identical in-flight job instead
     /// of enqueueing a second route.
     coalesced: AtomicU64,
+    /// Cache hits answered through the raw memo, without parsing.
+    parse_skipped: AtomicU64,
     active_conns: AtomicUsize,
+}
+
+impl State {
+    fn new(config: ServeConfig, addr: SocketAddr) -> State {
+        State {
+            config,
+            addr,
+            jobs: Mutex::new(Vec::new()),
+            queue: Mutex::new(VecDeque::new()),
+            queue_cv: Condvar::new(),
+            cache: Mutex::new(HashMap::new()),
+            raw_memo: Mutex::new(HashMap::new()),
+            draining: AtomicBool::new(false),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+            parse_skipped: AtomicU64::new(0),
+            active_conns: AtomicUsize::new(0),
+        }
+    }
+}
+
+/// What one submission resolved to after parsing: its cache key and the
+/// iteration count the status endpoint reports.
+#[derive(Debug, Clone, Copy)]
+struct Resolved {
+    key: u64,
+    total_iterations: usize,
 }
 
 /// Locks that survive a poisoned mutex: a panicking worker must not
@@ -178,6 +273,68 @@ fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
 /// onto one cache entry.
 fn config_fingerprint(c: &RouterConfig) -> String {
     format!("{c:?}")
+}
+
+/// The raw-submission memo key: FNV-1a over the body bytes and every
+/// decoded query pair, each part length-framed — everything `submit`
+/// reads from a request, before any parsing.
+fn raw_submission_key(req: &Request) -> u64 {
+    let mut parts: Vec<&[u8]> = Vec::with_capacity(1 + 2 * req.query.len());
+    parts.push(&req.body);
+    for (k, v) in &req.query {
+        parts.push(k.as_bytes());
+        parts.push(v.as_bytes());
+    }
+    fnv1a_parts(&parts)
+}
+
+/// Where a throw-away connection reaches the listener bound at `bound`:
+/// the address itself, or — when it is the unspecified address, which
+/// is not connectable everywhere — the loopback address of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Spacing of the acceptor's admission schedule (module docs): under
+/// sustained arrivals one connection reaches a handler thread per
+/// interval. The costliest bench request, a cached submission of the
+/// 82 KB document, is a 0.3–0.4 ms round trip unpaced.
+pub const ADMIT_INTERVAL: Duration = Duration::from_micros(400);
+
+/// How many intervals the acceptor may fall behind its schedule and
+/// still catch up: the admissions it may make back to back after idling
+/// or after a late wake-up (6.4 ms worth).
+pub const ADMIT_BURST: u32 = 16;
+
+/// Books the admission of a connection accepted at `now`: returns how
+/// long it waits and moves `next`, the schedule's next deadline, one
+/// interval on. A token bucket in deadline form — `now - next` is the
+/// unused credit, capped at [`ADMIT_BURST`] intervals: while `next` is
+/// in the past connections are admitted at once, each using up one
+/// interval of credit; once it is in the future each waits for its
+/// slot. Deadlines advance from the schedule, not from when the
+/// acceptor woke, so lateness is made up instead of accumulating.
+fn book_admission(next: &mut Instant, now: Instant) -> Duration {
+    let wait = next.saturating_duration_since(now);
+    let full = now.checked_sub(ADMIT_INTERVAL * ADMIT_BURST).unwrap_or(now);
+    *next = (*next).max(full) + ADMIT_INTERVAL;
+    wait
+}
+
+/// Starts the drain, from `POST /shutdown` and [`ServerHandle::shutdown`]
+/// alike: raise the flag, wake parked workers, and wake the acceptor out
+/// of its blocking `accept()` with one throw-away connection. Idempotent
+/// — once the listener is gone the connect fails and is ignored. Must be
+/// called with no guard live (it blocks on the network).
+fn begin_drain(state: &State) {
+    state.draining.store(true, Ordering::Release);
+    state.queue_cv.notify_all();
+    let _ = TcpStream::connect_timeout(&wake_addr(state.addr), Duration::from_secs(1));
 }
 
 /// Everything the server knows after draining, for tests and the
@@ -223,8 +380,7 @@ impl ServerHandle {
     /// and blocks until every queued and in-flight job completed and
     /// all threads joined.
     pub fn shutdown(self) -> DrainReport {
-        self.state.draining.store(true, Ordering::Release);
-        self.state.queue_cv.notify_all();
+        begin_drain(&self.state);
         self.wait()
     }
 
@@ -255,21 +411,10 @@ impl Server {
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
         let addr = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
-        listener.set_nonblocking(true).map_err(|e| format!("set_nonblocking: {e}"))?;
-        let state = Arc::new(State {
-            config: config.clone(),
-            jobs: Mutex::new(Vec::new()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            cache: Mutex::new(HashMap::new()),
-            draining: AtomicBool::new(false),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            active_conns: AtomicUsize::new(0),
-        });
-        let mut threads = Vec::with_capacity(config.workers + 1);
-        for _ in 0..config.workers {
+        let workers = config.workers;
+        let state = Arc::new(State::new(config, addr));
+        let mut threads = Vec::with_capacity(workers + 1);
+        for _ in 0..workers {
             let state = Arc::clone(&state);
             threads.push(std::thread::spawn(move || worker_loop(&state)));
         }
@@ -282,23 +427,31 @@ impl Server {
 }
 
 /// Accepts connections until draining, then waits for in-flight
-/// connection handlers to finish. Nonblocking accept with a short nap
-/// keeps shutdown latency bounded without signal machinery.
+/// connection handlers to finish. `accept()` blocks; `begin_drain`
+/// wakes it with a throw-away connection, and the flag is re-checked
+/// after every return so that connection (or any client racing it) is
+/// dropped instead of served. Admission is paced (`book_admission`).
 fn acceptor_loop(listener: &TcpListener, state: &Arc<State>) {
+    let mut next_admission = Instant::now();
     while !state.draining.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
+                if state.draining.load(Ordering::Acquire) {
+                    break;
+                }
+                let wait = book_admission(&mut next_admission, Instant::now());
+                if !wait.is_zero() {
+                    std::thread::sleep(wait);
+                }
                 state.active_conns.fetch_add(1, Ordering::AcqRel);
                 let state = Arc::clone(state);
                 std::thread::spawn(move || {
-                    handle_conn(&state, stream);
+                    handle_conn(&state, &stream);
                     state.active_conns.fetch_sub(1, Ordering::AcqRel);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // a failed accept (descriptor exhaustion, an aborted
+            // handshake) must not spin the acceptor
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -340,7 +493,7 @@ fn worker_loop(state: &Arc<State>) {
 /// cancelled while queued). Panics inside the router are contained:
 /// the job fails, the worker and its warm pool survive.
 fn run_job(state: &Arc<State>, id: usize, pool: &mut WorkerPool) {
-    let (doc, config, ctrl, key) = {
+    let (input, ctrl, key) = {
         let mut jobs = lock(&state.jobs);
         let job = &mut jobs[id];
         if job.state != JobState::Queued {
@@ -351,14 +504,15 @@ fn run_job(state: &Arc<State>, id: usize, pool: &mut WorkerPool) {
         // a queued job always carries its document; if that invariant
         // ever breaks, fail the one job with a mapped 500 instead of
         // panicking the worker (`cds-lint` rule no-panic-in-serve)
-        let Some(doc) = job.doc.take() else {
+        let Some(input) = job.input.take() else {
             job.state = JobState::Failed;
             job.error = Some("internal: queued job lost its document".into());
             return;
         };
-        (doc, job.config.clone(), Arc::clone(&job.ctrl), job.key)
+        (input, Arc::clone(&job.ctrl), job.key)
     };
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let JobInput { doc, config } = *input;
         let chip = doc.build_chip();
         let router = Router::new(&chip, config.clone());
         let state_for_progress = Arc::clone(state);
@@ -402,12 +556,11 @@ fn run_job(state: &Arc<State>, id: usize, pool: &mut WorkerPool) {
 
 /// Reads one request off the connection, dispatches it, writes the
 /// response. One request per connection (`Connection: close`).
-fn handle_conn(state: &Arc<State>, stream: TcpStream) {
+fn handle_conn(state: &Arc<State>, stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
+    // `&TcpStream` is both `Read` and `Write`: one descriptor serves
+    // the buffered request read and the single response write
+    let mut reader = BufReader::new(stream);
     let mut out = stream;
     match http::parse_request(&mut reader, state.config.max_body) {
         Ok(req) => {
@@ -486,11 +639,46 @@ fn with_job_id(raw: &str, f: impl FnOnce(usize) -> Reply) -> Reply {
     }
 }
 
-/// `POST /jobs`: parse → resolve config → canonicalize → cache lookup
-/// → enqueue (or reject with backpressure).
+/// Records an already-`done` job served from the archived `entry` and
+/// builds its `200 … "cached": true` reply.
+fn cached_job(state: &State, resolved: Resolved, entry: ResultEntry) -> Reply {
+    state.cache_hits.fetch_add(1, Ordering::Relaxed);
+    let mut jobs = lock(&state.jobs);
+    let id = jobs.len();
+    jobs.push(Job {
+        state: JobState::Done,
+        cached: true,
+        cancel_requested: false,
+        key: resolved.key,
+        ctrl: Arc::new(RunControl::new()),
+        input: None,
+        total_iterations: resolved.total_iterations,
+        progress: Vec::new(),
+        result: Some(entry),
+        error: None,
+    });
+    let mut r =
+        Reply::new(200, format!("{{\"job\": {id}, \"state\": \"done\", \"cached\": true}}"));
+    r.cached = Some(true);
+    r
+}
+
+/// `POST /jobs`: raw memo → parse → resolve config → canonicalize →
+/// cache lookup → coalesce → enqueue (or reject with backpressure).
 fn submit(state: &Arc<State>, req: &Request) -> Reply {
     if state.draining.load(Ordering::Acquire) {
         return Reply::new(503, error_body("shutting down"));
+    }
+    // a byte-identical resubmission of a cached result is answered
+    // without parsing; everything else falls through (module docs)
+    let raw_key = raw_submission_key(req);
+    let memo = lock(&state.raw_memo).get(&raw_key).copied();
+    if let Some(resolved) = memo {
+        let cached = lock(&state.cache).get(&resolved.key).cloned();
+        if let Some(entry) = cached {
+            state.parse_skipped.fetch_add(1, Ordering::Relaxed);
+            return cached_job(state, resolved, entry);
+        }
     }
     let text = match std::str::from_utf8(&req.body) {
         Ok(t) => t,
@@ -527,31 +715,16 @@ fn submit(state: &Arc<State>, req: &Request) -> Reply {
     };
     let fingerprint = config_fingerprint(&config);
     let key = fnv1a_parts(&[canonical.as_bytes(), fingerprint.as_bytes()]);
+    let resolved = Resolved { key, total_iterations: config.iterations };
+    if memo.is_none() {
+        lock(&state.raw_memo).insert(raw_key, resolved);
+    }
 
     let cached = lock(&state.cache).get(&key).cloned();
-    let total_iterations = config.iterations;
-    let mut jobs = lock(&state.jobs);
-    let id = jobs.len();
     if let Some(entry) = cached {
-        state.cache_hits.fetch_add(1, Ordering::Relaxed);
-        jobs.push(Job {
-            state: JobState::Done,
-            cached: true,
-            cancel_requested: false,
-            key,
-            ctrl: Arc::new(RunControl::new()),
-            doc: None,
-            config,
-            total_iterations,
-            progress: Vec::new(),
-            result: Some(entry),
-            error: None,
-        });
-        let mut r =
-            Reply::new(200, format!("{{\"job\": {id}, \"state\": \"done\", \"cached\": true}}"));
-        r.cached = Some(true);
-        return r;
+        return cached_job(state, resolved, entry);
     }
+    let mut jobs = lock(&state.jobs);
     // in-flight coalescing: the same key already queued or running
     // attaches this client to that job instead of routing twice. A
     // cancel-requested job is excluded — its result (none, or partial)
@@ -574,7 +747,6 @@ fn submit(state: &Arc<State>, req: &Request) -> Reply {
         r.job_state = Some(st);
         return r;
     }
-    state.cache_misses.fetch_add(1, Ordering::Relaxed);
     let mut queue = lock(&state.queue);
     if queue.len() >= state.config.queue_cap {
         return Reply::new(
@@ -586,15 +758,17 @@ fn submit(state: &Arc<State>, req: &Request) -> Reply {
             ),
         );
     }
+    // counted only once the job exists: a 503 is not a cache miss
+    state.cache_misses.fetch_add(1, Ordering::Relaxed);
+    let id = jobs.len();
     jobs.push(Job {
         state: JobState::Queued,
         cached: false,
         cancel_requested: false,
         key,
         ctrl: Arc::new(RunControl::new()),
-        doc: Some(Box::new(doc)),
-        config,
-        total_iterations,
+        input: Some(Box::new(JobInput { doc, config })),
+        total_iterations: resolved.total_iterations,
         progress: Vec::new(),
         result: None,
         error: None,
@@ -706,8 +880,7 @@ fn cancel(state: &Arc<State>, id: usize) -> Reply {
 
 /// `POST /shutdown`: graceful drain (see module docs).
 fn shutdown(state: &Arc<State>) -> Reply {
-    state.draining.store(true, Ordering::Release);
-    state.queue_cv.notify_all();
+    begin_drain(state);
     Reply::new(200, "{\"draining\": true}".into())
 }
 
@@ -721,13 +894,15 @@ fn healthz(state: &Arc<State>) -> Reply {
         format!(
             "{{\"ok\": true, \"draining\": {}, \"workers\": {}, \"jobs\": {jobs}, \
              \"queued\": {queued}, \"queue_capacity\": {}, \"cache_entries\": {cache_entries}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"coalesced\": {}}}",
+             \"cache_hits\": {}, \"cache_misses\": {}, \"coalesced\": {}, \
+             \"parse_skipped\": {}}}",
             state.draining.load(Ordering::Acquire),
             state.config.workers,
             state.config.queue_cap,
             state.cache_hits.load(Ordering::Relaxed),
             state.cache_misses.load(Ordering::Relaxed),
-            state.coalesced.load(Ordering::Relaxed)
+            state.coalesced.load(Ordering::Relaxed),
+            state.parse_skipped.load(Ordering::Relaxed)
         ),
     )
 }
@@ -738,18 +913,9 @@ mod tests {
     use cds_instgen::ChipSpec;
 
     fn test_state() -> Arc<State> {
-        Arc::new(State {
-            config: ServeConfig::default(),
-            jobs: Mutex::new(Vec::new()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            cache: Mutex::new(HashMap::new()),
-            draining: AtomicBool::new(false),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            active_conns: AtomicUsize::new(0),
-        })
+        // port 1 on loopback: nothing listens there, and no test here
+        // drains, so the address is never connected to
+        Arc::new(State::new(ServeConfig::default(), SocketAddr::from(([127, 0, 0, 1], 1))))
     }
 
     fn docless_queued_job() -> Job {
@@ -759,8 +925,7 @@ mod tests {
             cancel_requested: false,
             key: 0,
             ctrl: Arc::new(RunControl::new()),
-            doc: None, // the broken-invariant input run_job must survive
-            config: RouterConfig::default(),
+            input: None, // the broken-invariant input run_job must survive
             total_iterations: 1,
             progress: Vec::new(),
             result: None,
@@ -839,5 +1004,99 @@ mod tests {
         let after = submit(&state, &post_jobs(&doc, &q));
         assert_eq!(after.status, 200);
         assert!(after.body.contains("\"cached\": true"), "{}", after.body);
+    }
+    #[test]
+    fn raw_submission_key_is_length_framed_over_body_and_query() {
+        let key = |body: &str, q: &[(&str, &str)]| raw_submission_key(&post_jobs(body, q));
+        // moving a byte across the body/query boundary changes the key
+        assert_ne!(key("ab", &[("c", "")]), key("a", &[("bc", "")]));
+        // so does moving one across the key/value boundary
+        assert_ne!(key("x", &[("ab", "c")]), key("x", &[("a", "bc")]));
+        // one pair is not two bare keys
+        assert_ne!(key("x", &[("a", "b")]), key("x", &[("a", ""), ("b", "")]));
+        assert_ne!(key("x", &[]), key("x", &[("", "")]));
+        assert_eq!(key("x", &[("a", "b")]), key("x", &[("a", "b")]));
+    }
+
+    /// The bucket in numbers: a full one admits `ADMIT_BURST`
+    /// connections at once, then one per interval on deadlines that do
+    /// not drift with how late the acceptor looked; lateness is made
+    /// up, and idle time beyond the cap is not banked.
+    #[test]
+    fn admission_bucket_bursts_then_paces_on_absolute_deadlines() {
+        let us = Duration::from_micros;
+        // the acceptor's start: an empty bucket, first deadline now
+        let t0 = Instant::now();
+        let mut next = t0;
+        assert_eq!(book_admission(&mut next, t0), Duration::ZERO);
+        // arrivals at different points of their predecessor's slot
+        // land exactly on t0 + k intervals
+        for (k, seen_after) in [(1u32, us(10)), (2, us(390)), (3, us(150))] {
+            let now = t0 + ADMIT_INTERVAL * (k - 1) + seen_after;
+            let wait = book_admission(&mut next, now);
+            assert_eq!(now + wait, t0 + ADMIT_INTERVAL * k, "slot {k}");
+        }
+        // three intervals late (a stall): the three lost slots and the
+        // one now due are served back to back, then the old deadlines
+        // resume
+        let stalled = t0 + ADMIT_INTERVAL * 7;
+        for _ in 0..4 {
+            assert_eq!(book_admission(&mut next, stalled), Duration::ZERO);
+        }
+        assert_eq!(book_admission(&mut next, stalled), ADMIT_INTERVAL);
+        assert_eq!(next, t0 + ADMIT_INTERVAL * 9);
+        // a long silence fills the bucket to its cap, not beyond
+        let later = next + Duration::from_secs(1);
+        for n in 0..=ADMIT_BURST {
+            assert_eq!(book_admission(&mut next, later), Duration::ZERO, "burst admission {n}");
+        }
+        assert_eq!(book_admission(&mut next, later), ADMIT_INTERVAL);
+    }
+
+    #[test]
+    fn wake_address_is_connectable_for_unspecified_binds() {
+        let a = |s: &str| s.parse::<SocketAddr>().unwrap();
+        assert_eq!(wake_addr(a("0.0.0.0:7171")), a("127.0.0.1:7171"));
+        assert_eq!(wake_addr(a("[::]:7171")), a("[::1]:7171"));
+        assert_eq!(wake_addr(a("127.0.0.1:9")), a("127.0.0.1:9"));
+        assert_eq!(wake_addr(a("192.0.2.7:80")), a("192.0.2.7:80"));
+    }
+
+    /// The memo only ever shortcuts to a cache entry that exists: a
+    /// memoised key whose job was cancelled — while queued (no result)
+    /// or mid-run (partial result, never cached) — routes again.
+    #[test]
+    fn resubmitting_a_cancelled_key_routes_again_despite_the_memo() {
+        let state = test_state();
+        let spec = ChipSpec { num_nets: 8, ..ChipSpec::small_test(3) };
+        let doc = chip_doc_to_string(&ChipDoc::from_chip(&spec.generate()).unwrap()).unwrap();
+        let req = post_jobs(&doc, &[("iterations", "2")]);
+        assert_eq!(submit(&state, &req).status, 201);
+        assert_eq!(lock(&state.raw_memo).len(), 1, "a parsed submission is memoised");
+        // cancelled while queued: no result, not coalescable
+        assert_eq!(cancel(&state, 0).status, 200);
+        let again = submit(&state, &req);
+        assert_eq!(again.status, 201, "{}", again.body);
+        assert!(again.body.contains("\"job\": 1"), "{}", again.body);
+        // cancelled mid-run: the partial outcome stays on the job only
+        let mut pool = WorkerPool::new();
+        lock(&state.jobs)[1].ctrl.cancel();
+        run_job(&state, 1, &mut pool);
+        assert_eq!(lock(&state.jobs)[1].state, JobState::Cancelled);
+        assert!(lock(&state.cache).is_empty(), "partial results are never cached");
+        let third = submit(&state, &req);
+        assert_eq!(third.status, 201, "{}", third.body);
+        run_job(&state, 2, &mut pool);
+        assert_eq!(lock(&state.jobs)[2].state, JobState::Done);
+        // only now does the memo have a cache entry to shortcut to
+        assert_eq!(state.parse_skipped.load(Ordering::Relaxed), 0);
+        let hit = submit(&state, &req);
+        assert!(hit.body.contains("\"cached\": true"), "{}", hit.body);
+        assert_eq!(state.parse_skipped.load(Ordering::Relaxed), 1);
+        assert_eq!(lock(&state.raw_memo).len(), 1);
+        assert_eq!(
+            (state.cache_hits.load(Ordering::Relaxed), state.cache_misses.load(Ordering::Relaxed)),
+            (1, 3)
+        );
     }
 }

@@ -14,6 +14,7 @@ use cds_serve::client::{self, json_bool, json_str, json_u64};
 use cds_serve::{ServeConfig, Server};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const POLL: Duration = Duration::from_millis(2);
@@ -42,6 +43,32 @@ fn start(config: ServeConfig) -> (cds_serve::ServerHandle, String) {
     let handle = Server::start(config).expect("server starts");
     let addr = handle.addr().to_string();
     (handle, addr)
+}
+
+/// The first five lines of `doc`, then a line the parser must reject
+/// — a document whose first error is on line 6.
+fn mangled_at_line_6(doc: &str) -> String {
+    let mut lines: Vec<&str> = doc.lines().take(5).collect();
+    lines.push("garbage tokens that are not a cdst/1 record");
+    lines.join("\n")
+}
+
+fn health(addr: &str, field: &str) -> u64 {
+    let resp = client::request(addr, "GET", "/healthz", b"").unwrap();
+    let text = resp.text();
+    json_u64(&text, field).unwrap_or_else(|| panic!("no {field} in {text}"))
+}
+
+/// Runs `f` on its own thread under a 5 s watchdog: a drain whose
+/// acceptor wake is missing blocks forever, and must fail the test
+/// instead of hanging the suite on a bare join.
+fn watchdog<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|_| panic!("{what}: not finished after 5 s — acceptor never woke?"))
 }
 
 /// Zeroes the wall-clock and arena observability fields — the only
@@ -170,11 +197,7 @@ fn oversized_body_gets_413_before_any_parsing() {
 #[test]
 fn truncated_document_gets_400_with_line_number() {
     let (handle, addr) = start(ServeConfig { workers: 0, ..ServeConfig::default() });
-    let doc = smoke_doc();
-    // keep 5 good lines, then inject a line the parser must reject
-    let mut mangled: Vec<&str> = doc.lines().take(5).collect();
-    mangled.push("garbage tokens that are not a cdst/1 record");
-    let body = mangled.join("\n");
+    let body = mangled_at_line_6(&smoke_doc());
     let resp = client::request(&addr, "POST", "/jobs", body.as_bytes()).unwrap();
     assert_eq!(resp.status, 400);
     let text = resp.text();
@@ -232,6 +255,9 @@ fn full_queue_rejects_with_503() {
     assert_eq!(resp.status, 503);
     let text = resp.text();
     assert_eq!(json_u64(&text, "capacity"), Some(2), "backpressure body: {text}");
+    // the rejected submission never became a job, so it is not a miss
+    assert_eq!(health(&addr, "cache_misses"), 2, "misses = accepted jobs");
+    assert_eq!(health(&addr, "jobs"), 2);
     handle.shutdown();
 }
 
@@ -340,13 +366,17 @@ fn duplicate_inflight_submission_attaches_to_the_running_job() {
     let b = client::request(&addr, "GET", &format!("/jobs/{job}/result"), b"").unwrap();
     assert_eq!(a.status, 200);
     assert_eq!(a.body, b.body, "attached clients must read identical bytes");
-    // the attach is visible in the health counters
-    let resp = client::request(&addr, "GET", "/healthz", b"").unwrap();
-    assert_eq!(json_u64(&resp.text(), "coalesced"), Some(1));
-    // and once the job is done, the cache takes over from coalescing
+    // the attach is visible in the health counters; the duplicate's
+    // raw bytes were memoised by then, but with no cached result the
+    // memo must not have answered it
+    assert_eq!(health(&addr, "coalesced"), 1);
+    assert_eq!(health(&addr, "parse_skipped"), 0);
+    // and once the job is done, the cache takes over from coalescing —
+    // reached through the memo, since the bytes are the same again
     let resp = client::request(&addr, "POST", path, doc.as_bytes()).unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(json_bool(&resp.text(), "cached"), Some(true));
+    assert_eq!(health(&addr, "parse_skipped"), 1);
     handle.shutdown();
 }
 
@@ -371,4 +401,138 @@ fn unknown_query_knob_is_rejected_up_front() {
     assert_eq!(resp.status, 400);
     assert!(resp.text().contains("unknown router knob"));
     handle.shutdown();
+}
+
+#[test]
+fn byte_identical_resubmission_skips_the_parse_and_other_spellings_do_not() {
+    let (handle, addr) = start(ServeConfig::default());
+    let doc = small_doc();
+    let first = client::submit_and_wait(&addr, &doc, "", POLL).unwrap();
+    assert!(!first.cached);
+    assert_eq!(health(&addr, "parse_skipped"), 0);
+
+    // same bytes: answered from the memo, same archived result
+    let again = client::submit_and_wait(&addr, &doc, "", POLL).unwrap();
+    assert!(again.cached);
+    assert_eq!(again.result_json, first.result_json);
+    assert_eq!(health(&addr, "parse_skipped"), 1);
+
+    // another spelling of the same document: a hit through the
+    // canonical path, which memoises *these* bytes for the next time
+    let (head, tail) = doc.split_once('\n').unwrap();
+    let commented = format!("{head}\n# resubmitted with a comment\n{tail}");
+    let spelled = client::submit_and_wait(&addr, &commented, "", POLL).unwrap();
+    assert!(spelled.cached, "comments do not change the canonical key");
+    assert_eq!(spelled.result_json, first.result_json);
+    assert_eq!(health(&addr, "parse_skipped"), 1, "new bytes must be parsed once");
+    let spelled = client::submit_and_wait(&addr, &commented, "", POLL).unwrap();
+    assert!(spelled.cached);
+    assert_eq!(health(&addr, "parse_skipped"), 2);
+
+    // same body, different query: a different submission altogether
+    let other = client::submit_and_wait(&addr, &doc, "?iterations=2", POLL).unwrap();
+    assert!(!other.cached, "the query is part of the raw key and of the cache key");
+    assert_eq!(health(&addr, "parse_skipped"), 2);
+    assert_eq!((health(&addr, "cache_hits"), health(&addr, "cache_misses")), (3, 2));
+    // results only — the memo's three entries are not cache entries
+    assert_eq!(health(&addr, "cache_entries"), 2);
+
+    // a malformed body is never memoised: same 400, same line, twice
+    let body = mangled_at_line_6(&doc);
+    for attempt in 0..2 {
+        let resp = client::request(&addr, "POST", "/jobs", body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "attempt {attempt}");
+        assert_eq!(json_u64(&resp.text(), "line"), Some(6), "attempt {attempt}");
+    }
+    assert_eq!(health(&addr, "parse_skipped"), 2);
+    handle.shutdown();
+}
+
+/// The acceptor's 5 ms `WouldBlock` nap used to put a floor under every
+/// connection (40 requests ≥ 200 ms); with a blocking accept the same
+/// 40 take a few ms. Best of five batches, so a busy test machine
+/// cannot fail it but a per-connection nap always does.
+#[test]
+fn forty_sequential_requests_take_well_under_100_ms() {
+    let (handle, addr) = start(ServeConfig { workers: 0, ..ServeConfig::default() });
+    let batch = || {
+        let t0 = Instant::now();
+        for _ in 0..40 {
+            let resp = client::request(&addr, "GET", "/healthz", b"").unwrap();
+            assert_eq!(resp.status, 200);
+        }
+        t0.elapsed()
+    };
+    let best = (0..5).map(|_| batch()).min().unwrap();
+    assert!(best < Duration::from_millis(100), "40 × GET /healthz took {best:?}");
+    handle.shutdown();
+}
+
+/// Admission pacing end to end: four clients keep the daemon saturated
+/// and 200 requests cannot be admitted faster than the bucket allows —
+/// its burst, then one per interval. A lower bound only (sleeps never
+/// undershoot; unpaced, a debug build serves these in ~20 ms); the
+/// upper side is `forty_sequential_requests_take_well_under_100_ms`.
+#[test]
+fn saturating_clients_are_admitted_at_the_bucket_rate() {
+    use cds_serve::server::{ADMIT_BURST, ADMIT_INTERVAL};
+    let (handle, addr) = start(ServeConfig { workers: 0, ..ServeConfig::default() });
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                for _ in 0..50 {
+                    let resp = client::request(&addr, "GET", "/healthz", b"").unwrap();
+                    assert_eq!(resp.status, 200);
+                }
+            });
+        }
+    });
+    let took = t0.elapsed();
+    let floor = ADMIT_INTERVAL * (200 - 1 - ADMIT_BURST);
+    assert!(took >= floor, "200 requests in {took:?}, the bucket allows no less than {floor:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn idle_daemon_shuts_down_within_a_second() {
+    // zero connections ever made: only the wake connect can unpark
+    // the acceptor
+    let (handle, _addr) = start(ServeConfig::default());
+    let took = watchdog("shutdown of an idle daemon", move || {
+        let t0 = Instant::now();
+        handle.shutdown();
+        t0.elapsed()
+    });
+    assert!(took < Duration::from_secs(1), "idle drain took {took:?}");
+}
+
+#[test]
+fn http_shutdown_on_an_idle_daemon_makes_wait_return() {
+    let (handle, addr) = start(ServeConfig::default());
+    let resp = client::request(&addr, "POST", "/shutdown", b"").unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(json_bool(&resp.text(), "draining"), Some(true));
+    let report = watchdog("wait() after POST /shutdown", move || handle.wait());
+    assert_eq!((report.done, report.cancelled, report.failed), (0, 0, 0));
+}
+
+#[test]
+fn http_shutdown_then_handle_shutdown_is_idempotent() {
+    let (handle, addr) = start(ServeConfig::default());
+    let resp = client::request(&addr, "POST", "/shutdown", b"").unwrap();
+    assert_eq!(resp.status, 200);
+    // the second drain's wake connect meets a closing (or closed)
+    // listener and must fail quietly
+    let report = watchdog("shutdown() after POST /shutdown", move || handle.shutdown());
+    assert_eq!((report.done, report.cancelled, report.failed), (0, 0, 0));
+}
+
+#[test]
+fn daemon_bound_to_the_unspecified_address_drains() {
+    let (handle, addr) = start(ServeConfig { addr: "0.0.0.0:0".into(), ..ServeConfig::default() });
+    assert!(addr.starts_with("0.0.0.0:"), "{addr}");
+    let loopback = format!("127.0.0.1:{}", handle.addr().port());
+    assert_eq!(health(&loopback, "jobs"), 0);
+    watchdog("shutdown of a 0.0.0.0 daemon", move || handle.shutdown());
 }
