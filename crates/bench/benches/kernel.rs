@@ -1,14 +1,10 @@
-//! The search-kernel bench of the bucket-queue PR: heap vs bucket
-//! label queues, and per-component vs batched multi-sink search, on
-//! the `window` bench's routing workload.
+//! The search-kernel bench: per-component vs batched multi-sink search
+//! on the `forest` bench's routing workload.
 //!
-//! Both queue backends pop the identical total order `(key, search,
-//! vertex)`, so the heap and bucket rows are asserted bit-identical
-//! before timing — the bench measures pure queue mechanics, not
-//! different routes. The batched row is a different algorithm (member
-//! searches survive sink–sink merges instead of restarting one
-//! labelling from each Steiner terminal), so it is reported with its
-//! own checksum and validated only for plausibility.
+//! The batched row is a different algorithm (member searches survive
+//! sink–sink merges instead of restarting one labelling from each
+//! Steiner terminal), so it is reported with its own checksum and
+//! validated only for plausibility.
 //!
 //! Per configuration the report prints wall clock, nets/s, and the
 //! kernel op-counters ([`RouterStats`]: settled/pushed/popped/
@@ -22,7 +18,7 @@
 //! [`RouterStats`]: cds_router::RouterStats
 
 use cds_instgen::{Chip, ChipSpec};
-use cds_router::{QueueKind, Router, RouterConfig, RoutingOutcome};
+use cds_router::{Router, RouterConfig, RoutingOutcome};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -30,17 +26,16 @@ use std::time::{Duration, Instant};
 const ITERATIONS: usize = 3;
 
 fn build_chip() -> Chip {
-    // identical workload to the `window` and `forest` benches
+    // identical workload to the `forest` bench
     ChipSpec { num_nets: 120, ..ChipSpec::small_test(7) }.generate()
 }
 
-fn run(chip: &Chip, queue: QueueKind, batch: bool) -> RoutingOutcome {
+fn run(chip: &Chip, batch: bool) -> RoutingOutcome {
     Router::new(
         chip,
         RouterConfig {
             iterations: ITERATIONS,
             threads: 1, // single worker: clean per-config op counts
-            queue,
             batch,
             ..Default::default()
         },
@@ -49,25 +44,17 @@ fn run(chip: &Chip, queue: QueueKind, batch: bool) -> RoutingOutcome {
 }
 
 fn kernel_report(chip: &Chip) {
-    // warm every path once so one-time setup is out of the numbers,
-    // and pin the queue-equivalence contract before timing anything
-    let warm_heap = run(chip, QueueKind::Heap, false);
-    let warm_bucket = run(chip, QueueKind::Bucket, false);
-    assert_eq!(warm_heap.checksum(), warm_bucket.checksum(), "queue backends diverged");
-    run(chip, QueueKind::Bucket, true);
+    // warm every path once so one-time setup is out of the numbers
+    let warm = run(chip, false);
+    run(chip, true);
 
-    let configs = [
-        ("heap", QueueKind::Heap, false),
-        ("bucket", QueueKind::Bucket, false),
-        ("bucket+batch", QueueKind::Bucket, true),
-    ];
     let mut rows = Vec::new();
-    for (name, queue, batch) in configs {
+    for (name, batch) in [("bucket", false), ("bucket+batch", true)] {
         let start = Instant::now();
-        let out = run(chip, queue, batch);
+        let out = run(chip, batch);
         let wall = start.elapsed();
         if !batch {
-            assert_eq!(out.checksum(), warm_heap.checksum(), "{name} diverged");
+            assert_eq!(out.checksum(), warm.checksum(), "{name} is not reproducible");
         }
         rows.push((name, wall, out));
     }
@@ -99,14 +86,7 @@ fn kernel_report(chip: &Chip) {
             st.kernel_bucket_scans as f64 / nets,
         );
     }
-    let heap_w = rows[0].1.as_secs_f64();
-    let bucket_w = rows[1].1.as_secs_f64();
-    println!(
-        "speedup bucket vs heap: {:.2}x (bit-identical results); batch checksum {:#018x} vs {:#018x}\n",
-        heap_w / bucket_w,
-        rows[2].2.checksum(),
-        warm_heap.checksum(),
-    );
+    println!("batch checksum {:#018x} vs {:#018x}\n", rows[1].2.checksum(), warm.checksum(),);
 }
 
 fn bench_kernel(c: &mut Criterion) {
@@ -116,15 +96,8 @@ fn bench_kernel(c: &mut Criterion) {
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(8));
     g.warm_up_time(Duration::from_secs(1));
-    g.bench_function("heap_queue", |b| {
-        b.iter(|| black_box(run(&chip, QueueKind::Heap, false).checksum()))
-    });
-    g.bench_function("bucket_queue", |b| {
-        b.iter(|| black_box(run(&chip, QueueKind::Bucket, false).checksum()))
-    });
-    g.bench_function("bucket_batched", |b| {
-        b.iter(|| black_box(run(&chip, QueueKind::Bucket, true).checksum()))
-    });
+    g.bench_function("bucket_queue", |b| b.iter(|| black_box(run(&chip, false).checksum())));
+    g.bench_function("bucket_batched", |b| b.iter(|| black_box(run(&chip, true).checksum())));
     g.finish();
 }
 

@@ -7,13 +7,12 @@
 //! request stream, exactly the shape the reusable [`SolverWorkspace`]
 //! is built for.
 //!
-//! Three variants solve the *identical* stream (results are asserted
+//! Two variants solve the *identical* stream (results are asserted
 //! bit-identical):
 //!
 //! * `fresh`  — the legacy free function `solve()`, reallocating every
 //!   search structure per call;
-//! * `reused` — one `Solver` session, clear-and-reuse;
-//! * `batch4` — `solve_batch` over 4 worker workspaces per round.
+//! * `reused` — one `Solver` session, clear-and-reuse.
 //!
 //! A counting global allocator reports allocations and bytes per
 //! variant, alongside criterion wall-clock sampling.
@@ -155,17 +154,6 @@ fn run_reused(w: &Workload, session: &mut Solver) -> f64 {
     acc
 }
 
-fn run_batch(w: &Workload, session: &mut Solver, threads: usize) -> f64 {
-    let mut acc = 0.0;
-    for round in 0..ROUNDS {
-        let reqs: Vec<Request<'_>> = requests(w, round).collect();
-        for r in session.solve_batch(&reqs, threads) {
-            acc += r.evaluation.total;
-        }
-    }
-    acc
-}
-
 /// One measured pass of a variant: (wall time, allocs, bytes, checksum).
 fn measured<F: FnMut() -> f64>(mut f: F) -> (Duration, u64, u64, f64) {
     let (a0, b0) = allocs_now();
@@ -178,28 +166,22 @@ fn measured<F: FnMut() -> f64>(mut f: F) -> (Duration, u64, u64, f64) {
 
 fn alloc_report(w: &Workload) {
     let solves = (NETS * ROUNDS) as u64;
-    // warm up the sessions once so one-time setup is out of the numbers
+    // warm up the session once so one-time setup is out of the numbers
     let mut session = Solver::new();
     black_box(run_reused(w, &mut session));
-    let mut batch_session = Solver::new();
-    black_box(run_batch(w, &mut batch_session, 4));
 
     let (t_fresh, a_fresh, b_fresh, x1) = measured(|| run_fresh(w));
     let (t_reuse, a_reuse, b_reuse, x2) = measured(|| run_reused(w, &mut session));
-    let (t_batch, a_batch, b_batch, x3) = measured(|| run_batch(w, &mut batch_session, 4));
     assert_eq!(x1.to_bits(), x2.to_bits(), "reuse changed results");
-    assert_eq!(x2.to_bits(), x3.to_bits(), "batching changed results");
 
     println!("\nsession-reuse report ({solves} solves: {NETS} nets × {ROUNDS} pricing rounds)");
     println!(
         "{:<8} {:>12} {:>14} {:>14} {:>12} {:>14}",
         "variant", "wall", "allocs", "allocs/solve", "MiB", "solves/s"
     );
-    for (name, t, a, b) in [
-        ("fresh", t_fresh, a_fresh, b_fresh),
-        ("reused", t_reuse, a_reuse, b_reuse),
-        ("batch4", t_batch, a_batch, b_batch),
-    ] {
+    for (name, t, a, b) in
+        [("fresh", t_fresh, a_fresh, b_fresh), ("reused", t_reuse, a_reuse, b_reuse)]
+    {
         println!(
             "{:<8} {:>12} {:>14} {:>14.1} {:>12.1} {:>14.0}",
             name,
@@ -227,10 +209,6 @@ fn bench_session(c: &mut Criterion) {
     g.bench_function("fresh_per_call", |b| b.iter(|| black_box(run_fresh(&w))));
     let mut session = Solver::new();
     g.bench_function("reused_workspace", |b| b.iter(|| black_box(run_reused(&w, &mut session))));
-    let mut batch_session = Solver::new();
-    g.bench_function("batch_4_workspaces", |b| {
-        b.iter(|| black_box(run_batch(&w, &mut batch_session, 4)))
-    });
     g.finish();
 }
 

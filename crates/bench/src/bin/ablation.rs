@@ -8,7 +8,7 @@
 
 use cds_bench::{env_usize, selected_suite};
 use cds_core::{solve, GridFutureCost, Instance, SolverOptions};
-use cds_graph::{EdgeIndex, GridWindow};
+use cds_graph::{RoutingSurface, WindowView};
 use cds_router::{Router, RouterConfig};
 use cds_topo::BifurcationConfig;
 
@@ -21,14 +21,18 @@ fn main() {
         Router::new(chip, RouterConfig { iterations, harvest: true, ..Default::default() });
     let out = router.run();
     let bif = BifurcationConfig::new(chip.delay_model.dbif_ps(), 0.25);
-    let index = EdgeIndex::new(&chip.grid);
+    let delay = chip.grid.graph().delays();
 
+    // the quantum hint keeps each solve from scanning the chip-wide
+    // price array behind the window view
+    let quantum = Some(chip.grid.min_cost_per_gcell());
+    let all_on = SolverOptions { quantum, ..Default::default() };
     let variants: [(&str, SolverOptions); 5] = [
-        ("full (A-E)", SolverOptions::default()),
-        ("no III-A discount", SolverOptions { discount_components: false, ..Default::default() }),
-        ("no III-D placement", SolverOptions { better_steiner: false, ..Default::default() }),
-        ("no III-E root enc.", SolverOptions { encourage_root: false, ..Default::default() }),
-        ("base (Sec. II)", SolverOptions::base()),
+        ("full (A-E)", all_on),
+        ("no III-A discount", SolverOptions { discount_components: false, ..all_on }),
+        ("no III-D placement", SolverOptions { better_steiner: false, ..all_on }),
+        ("no III-E root enc.", SolverOptions { encourage_root: false, ..all_on }),
+        ("base (Sec. II)", SolverOptions { quantum, ..SolverOptions::base() }),
     ];
     let mut sums = vec![0.0f64; variants.len()];
     let mut astar_settled = 0usize;
@@ -39,15 +43,13 @@ fn main() {
         let net = &chip.nets[h.net];
         let mut pins = vec![net.root];
         pins.extend_from_slice(&net.sinks);
-        let window = GridWindow::around(&chip.grid, &index, &pins, 6);
-        let cost = window.slice(&out.prices);
-        let delay = window.grid.graph().delays();
-        let root = window.grid.vertex_at(window.localize(net.root));
+        let window = WindowView::around(&chip.grid, &pins, 6);
+        let root = window.vertex_at(window.localize(net.root));
         let sinks: Vec<u32> =
-            net.sinks.iter().map(|&p| window.grid.vertex_at(window.localize(p))).collect();
+            net.sinks.iter().map(|&p| window.vertex_at(window.localize(p))).collect();
         let inst = Instance {
-            graph: window.grid.graph(),
-            cost: &cost,
+            graph: &window,
+            cost: &out.prices,
             delay: &delay,
             root,
             sink_vertices: &sinks,
@@ -65,9 +67,9 @@ fn main() {
         // work saved by §III-C
         let mut terms = sinks.clone();
         terms.push(root);
-        let fc = GridFutureCost::new(&window.grid, &terms);
-        astar_settled += solve(&inst, &SolverOptions::enhanced(&fc)).stats.settled;
-        plain_settled += solve(&inst, &SolverOptions::default()).stats.settled;
+        let fc = GridFutureCost::new(&window, &terms);
+        astar_settled += solve(&inst, &SolverOptions { future: Some(&fc), ..all_on }).stats.settled;
+        plain_settled += solve(&inst, &all_on).stats.settled;
         n += 1;
     }
     println!("§III ablation over {n} instances of {}", chip.name);

@@ -41,9 +41,8 @@
 //! then the document's `config` records, then CLI flags
 //! (`--oracle/--threads/--iterations/--incremental/--price-tol/...`).
 //! Knobs without a dedicated flag go through `--set key=value` — e.g.
-//! `--set queue=heap` picks the binary-heap label queue over the
-//! default monotone bucket queue (bit-identical results, different
-//! speed), and `--set batch=on` enables batched multi-sink search.
+//! `--set shards=4` routes region-parallel and `--set batch=on`
+//! enables batched multi-sink search.
 
 use cds_instgen::io::doc::{
     chip_doc_to_string, read_chip_doc, read_chip_streaming, ChipDoc, RequestRecord, StateSection,
@@ -72,9 +71,9 @@ const USAGE: &str = "usage: cds-cli <gen|route|verify|harvest|fixtures|submit|lo
   gen      [--preset smoke|small|converging|congested|fanout_heavy] [--nets N] [--layers N]
            [--seed N] [--utilization F] [--name S] [-o FILE]
   route    [FILE|-] [--oracle cd|l1|sl|pd] [--threads N] [--iterations N]
-           [--incremental BOOL] [--price-tol F] [--materialize] [--seed N]
+           [--incremental BOOL] [--price-tol F] [--seed N]
            [--checkpoint FILE] [--resume]
-           [--set key=value]...       (e.g. --set queue=heap|bucket, --set shards=4)
+           [--set key=value]...       (e.g. --set shards=4, --set batch=on)
   verify   [FILE|-] --expect 0xHEX [route flags]
   harvest  [FILE|-] [route flags] [-o FILE]
   fixtures DIR
@@ -263,7 +262,6 @@ fn build_config(records: &[(String, String)], flags: &Flags) -> Result<RouterCon
                 config.set_knob(name, v)?;
             }
             "price-tol" => config.set_knob("price_tol", v)?,
-            "materialize" => config.materialize_windows = true,
             "set" => {
                 let (k, v) =
                     v.split_once('=').ok_or_else(|| format!("--set wants key=value, got {v}"))?;
@@ -274,34 +272,6 @@ fn build_config(records: &[(String, String)], flags: &Flags) -> Result<RouterCon
         }
     }
     Ok(config)
-}
-
-/// Serializes a resolved [`RouterConfig`] back into `config` records —
-/// every knob [`RouterConfig::set_knob`] accepts, so a checkpoint
-/// document resumed without any flags routes under exactly the config
-/// the interrupted run used.
-fn config_records(c: &RouterConfig) -> Vec<(String, String)> {
-    let b = |v: bool| if v { "true" } else { "false" }.to_string();
-    vec![
-        ("oracle".into(), c.method.to_string()),
-        ("iterations".into(), c.iterations.to_string()),
-        ("threads".into(), c.threads.to_string()),
-        ("use_dbif".into(), b(c.use_dbif)),
-        ("eta".into(), format!("{:?}", c.eta)),
-        ("seed".into(), c.seed.to_string()),
-        ("window_margin".into(), c.window_margin.to_string()),
-        ("price_alpha".into(), format!("{:?}", c.price_alpha)),
-        ("weight_tau_ps".into(), format!("{:?}", c.weight_tau_ps)),
-        ("harvest".into(), b(c.harvest)),
-        ("materialize_windows".into(), b(c.materialize_windows)),
-        ("incremental".into(), b(c.incremental)),
-        ("price_tol".into(), format!("{:?}", c.price_tol)),
-        ("recount_every".into(), c.recount_every.to_string()),
-        ("queue".into(), c.queue.to_string()),
-        ("batch".into(), b(c.batch)),
-        ("shards".into(), c.shards.to_string()),
-        ("checkpoint_every".into(), c.checkpoint_every.to_string()),
-    ]
 }
 
 /// Routes a streamed document, honoring `--resume` (continue from the
@@ -333,7 +303,7 @@ fn route_streamed(
             let res = ChipDoc::from_chip(&sc.chip)
                 .map_err(|e| e.to_string())
                 .and_then(|mut doc| {
-                    doc.config = config_records(&config);
+                    doc.config = config.records();
                     doc.state = Some(state);
                     chip_doc_to_string(&doc).map_err(|e| e.to_string())
                 })
@@ -367,7 +337,7 @@ const ROUTE_FLAGS: &[&str] = &[
     "expect",
     "checkpoint",
 ];
-const ROUTE_SWITCHES: &[&str] = &["materialize", "resume"];
+const ROUTE_SWITCHES: &[&str] = &["resume"];
 
 fn route(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, ROUTE_FLAGS, ROUTE_SWITCHES)?;
@@ -540,7 +510,6 @@ fn query_from_flags(flags: &Flags) -> Result<String, String> {
                 pairs.push((name.clone(), v.to_string()));
             }
             "price-tol" => pairs.push(("price_tol".into(), v.to_string())),
-            "materialize" => pairs.push(("materialize_windows".into(), "true".into())),
             "set" => {
                 let (k, val) =
                     v.split_once('=').ok_or_else(|| format!("--set wants key=value, got {v}"))?;
@@ -603,7 +572,7 @@ const LOADTEST_FLAGS: &[&str] = &[
     "seed",
     "set",
 ];
-const LOADTEST_SWITCHES: &[&str] = &["materialize", "shutdown"];
+const LOADTEST_SWITCHES: &[&str] = &["shutdown"];
 
 fn loadtest(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, LOADTEST_FLAGS, LOADTEST_SWITCHES)?;

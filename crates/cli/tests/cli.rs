@@ -173,12 +173,39 @@ fn unknown_flags_are_rejected_instead_of_swallowing_arguments() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --itrations"));
 
-    let out = bin().args(["route", "--materialise", "x.cdst"]).output().unwrap();
+    // the switch of the deleted materialized-window backend is gone,
+    // not ignored
+    let out = bin().args(["route", "--materialize", "x.cdst"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --materialise"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --materialize"));
 
     let out = bin().args(["gen", "--nest", "9"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn bad_knobs_exit_2_naming_the_knob_instead_of_panicking() {
+    let doc = run_ok(bin().args(["gen", "--preset", "small", "--nets", "12"]));
+    // Regression: a NaN temperature passed `set_knob` and then tripped
+    // the solver's `negative delay weight` assert in the first net.
+    let out = pipe_stdin(bin().args(["route", "-", "--set", "weight_tau_ps=nan"]), &doc);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("bad value nan for weight_tau_ps"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+
+    // the knobs of the deleted route paths are unknown — on the command
+    // line and as a document `config` record alike
+    let out = pipe_stdin(bin().args(["route", "-", "--set", "queue=heap"]), &doc);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown router knob queue"));
+    let mut lines: Vec<&str> = doc.lines().collect();
+    let at = lines.iter().position(|l| l.starts_with("celldelay")).unwrap() + 1;
+    lines.insert(at, "config queue bucket");
+    let out = pipe_stdin(bin().args(["route", "-"]), &format!("{}\n", lines.join("\n")));
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("document config record: unknown router knob queue"), "{err}");
 }
 
 #[test]

@@ -78,9 +78,8 @@ impl AssembleScratch {
     }
 }
 
-/// Builds the final tree from the used edge set with a throwaway
-/// scratch. Hot loops (the solver does) should hold an
-/// [`AssembleScratch`] and call [`assemble_tree_in`].
+/// Builds the final tree from the used edge set against caller-owned
+/// scratch buffers — the allocation-free path of a warm workspace.
 ///
 /// `sink_vertices[i]` is sink `i`'s vertex. Edges may contain duplicates
 /// (the base algorithm without §III-A can produce overlapping paths);
@@ -89,21 +88,6 @@ impl AssembleScratch {
 /// # Panics
 ///
 /// Panics if some sink is not connected to the root through `edges`.
-pub fn assemble_tree<G: SteinerGraph + ?Sized>(
-    graph: &G,
-    root: VertexId,
-    sink_vertices: &[VertexId],
-    edges: &[EdgeId],
-) -> EmbeddedTree {
-    assemble_tree_in(&mut AssembleScratch::default(), graph, root, sink_vertices, edges)
-}
-
-/// [`assemble_tree`] against caller-owned scratch buffers — the
-/// allocation-free path of a warm workspace.
-///
-/// # Panics
-///
-/// Same contract as [`assemble_tree`].
 pub fn assemble_tree_in<G: SteinerGraph + ?Sized>(
     s: &mut AssembleScratch,
     graph: &G,
@@ -126,7 +110,7 @@ pub fn assemble_tree_in<G: SteinerGraph + ?Sized>(
 ///
 /// # Panics
 ///
-/// Same contract as [`assemble_tree`].
+/// Same contract as [`assemble_tree_in`].
 pub fn assemble_tree_into<G: SteinerGraph + ?Sized>(
     s: &mut AssembleScratch,
     graph: &G,
@@ -327,7 +311,7 @@ mod tests {
             b.add_edge(i, i + 1, EdgeAttrs::wire(1.0, 1.0));
         }
         let g = b.build();
-        let t = assemble_tree(&g, 0, &[2, 3], &[0, 1, 2]);
+        let t = assemble_tree_in(&mut AssembleScratch::default(), &g, 0, &[2, 3], &[0, 1, 2]);
         t.validate(&g, 2).unwrap();
         let (c, d) = (g.base_costs(), g.delays());
         let ev = t.evaluate(&c, &d, &[1.0, 1.0], &BifurcationConfig::ZERO);
@@ -342,7 +326,7 @@ mod tests {
         b.add_edge(0, 1, EdgeAttrs::wire(1.0, 1.0));
         b.add_edge(1, 2, EdgeAttrs::wire(1.0, 1.0));
         let g = b.build();
-        let t = assemble_tree(&g, 0, &[2], &[0, 1, 0, 1]);
+        let t = assemble_tree_in(&mut AssembleScratch::default(), &g, 0, &[2], &[0, 1, 0, 1]);
         t.validate(&g, 1).unwrap();
         let (c, d) = (g.base_costs(), g.delays());
         let ev = t.evaluate(&c, &d, &[1.0], &BifurcationConfig::ZERO);
@@ -359,7 +343,7 @@ mod tests {
         // use explicit Dijkstra path instead of hand-picking edges
         let sp = cds_graph::dijkstra::shortest_paths(g, &[(root, 0.0)], |e| g.edge(e).base_cost);
         let path = sp.path_to(hub).unwrap();
-        let t = assemble_tree(g, root, &[hub, hub, hub], &path);
+        let t = assemble_tree_in(&mut AssembleScratch::default(), g, root, &[hub, hub, hub], &path);
         t.validate(g, 3).unwrap();
         // validate() enforces ≤ 2 children + leaf sinks
     }
@@ -373,7 +357,7 @@ mod tests {
         b.add_edge(1, 3, EdgeAttrs::wire(1.0, 1.0));
         b.add_edge(1, 4, EdgeAttrs::wire(1.0, 1.0));
         let g = b.build();
-        let t = assemble_tree(&g, 0, &[2, 3, 4], &[0, 1, 2, 3]);
+        let t = assemble_tree_in(&mut AssembleScratch::default(), &g, 0, &[2, 3, 4], &[0, 1, 2, 3]);
         t.validate(&g, 3).unwrap();
         let (c, d) = (g.base_costs(), g.delays());
         let ev = t.evaluate(&c, &d, &[1.0; 3], &BifurcationConfig::ZERO);
@@ -411,6 +395,6 @@ mod tests {
         b.add_edge(0, 1, EdgeAttrs::wire(1.0, 1.0));
         b.add_edge(2, 3, EdgeAttrs::wire(1.0, 1.0));
         let g = b.build();
-        let _ = assemble_tree(&g, 0, &[3], &[0]);
+        let _ = assemble_tree_in(&mut AssembleScratch::default(), &g, 0, &[3], &[0]);
     }
 }

@@ -23,8 +23,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// * `bound_to(x, y, w)` ≤ the `c + w·d` length of any `x`→`y` path.
 ///
 /// `Sync` is a supertrait so that requests referencing a future cost
-/// can be fanned out across the worker threads of
-/// [`Solver::solve_batch`](crate::Solver::solve_batch) (each request is
+/// can be built on one thread and solved on another (each request is
 /// still *used* by exactly one thread at a time; a future must not be
 /// shared between different requests, since
 /// [`note_new_targets`](Self::note_new_targets) specializes it to one
@@ -69,8 +68,8 @@ impl FutureCost for NoFutureCost {
 /// as components grow), scaled by the cheapest per-gcell cost and the
 /// fastest per-gcell delay.
 ///
-/// Works over any [`RoutingSurface`] — the whole grid, a materialized
-/// window, or a zero-copy [`WindowView`](cds_graph::WindowView): the
+/// Works over any [`RoutingSurface`] — the whole grid or a zero-copy
+/// [`WindowView`](cds_graph::WindowView): the
 /// transform only needs the surface's plane dimensions and per-gcell
 /// bounds, which it copies out, so the type borrows nothing.
 ///

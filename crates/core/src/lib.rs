@@ -55,8 +55,7 @@ pub mod session;
 pub mod solver;
 pub mod table;
 
-pub use assemble::{assemble_tree, assemble_tree_in, assemble_tree_into, AssembleScratch};
-pub use cds_heap::QueueKind;
+pub use assemble::{assemble_tree_in, assemble_tree_into, AssembleScratch};
 pub use future::{FutureCost, GridFutureCost, LandmarkFutureCost, NoFutureCost};
 pub use session::{Request, SessionConfig, Solver, SolverBuilder};
 pub use solver::{
@@ -179,73 +178,6 @@ mod tests {
             astar.stats.settled,
             plain.stats.settled
         );
-    }
-
-    #[test]
-    fn bucket_queue_matches_heap_bit_for_bit() {
-        // The determinism contract of the queue knob: both kinds pop
-        // the identical total order (key, search, vertex), so every
-        // routed bit — objective, tree edges, work counters except the
-        // bucket-only scan counter — must agree. Uniform grids make
-        // float key ties ubiquitous, so this exercises the tie-break.
-        let grid = GridSpec::uniform(11, 11, 2).build();
-        let (c, d) = uniform_env(&grid);
-        let root = grid.vertex(0, 0, 0);
-        let sinks = [
-            grid.vertex(10, 2, 0),
-            grid.vertex(4, 10, 0),
-            grid.vertex(10, 10, 0),
-            grid.vertex(7, 3, 1),
-            grid.vertex(2, 6, 0),
-        ];
-        let weights = [1.0, 2.0, 0.5, 3.0, 0.25];
-        let inst = Instance {
-            graph: grid.graph(),
-            cost: &c,
-            delay: &d,
-            root,
-            sink_vertices: &sinks,
-            weights: &weights,
-            bif: BifurcationConfig::new(3.0, 0.25),
-        };
-        let fc_h = GridFutureCost::new(&grid, &[root, sinks[0], sinks[1], sinks[2]]);
-        let fc_b = GridFutureCost::new(&grid, &[root, sinks[0], sinks[1], sinks[2]]);
-        for (fut_h, fut_b) in [(None, None), (Some(&fc_h as &dyn FutureCost), Some(&fc_b as _))] {
-            for quantum in [None, Some(1.0), Some(0.37), Some(1e6)] {
-                let heap = solve(
-                    &inst,
-                    &SolverOptions {
-                        queue: QueueKind::Heap,
-                        future: fut_h,
-                        ..SolverOptions::default()
-                    },
-                );
-                let bucket = solve(
-                    &inst,
-                    &SolverOptions {
-                        queue: QueueKind::Bucket,
-                        quantum,
-                        future: fut_b,
-                        ..SolverOptions::default()
-                    },
-                );
-                assert_eq!(
-                    heap.evaluation.total.to_bits(),
-                    bucket.evaluation.total.to_bits(),
-                    "objective diverged (quantum {quantum:?})"
-                );
-                assert_eq!(
-                    heap.tree.edges().collect::<Vec<_>>(),
-                    bucket.tree.edges().collect::<Vec<_>>()
-                );
-                assert_eq!(heap.stats.settled, bucket.stats.settled);
-                assert_eq!(heap.stats.pushed, bucket.stats.pushed);
-                assert_eq!(heap.stats.popped, bucket.stats.popped);
-                assert_eq!(heap.stats.decreased, bucket.stats.decreased);
-                assert_eq!(heap.stats.merges, bucket.stats.merges);
-                assert_eq!(heap.stats.bucket_scans, 0);
-            }
-        }
     }
 
     #[test]

@@ -31,15 +31,13 @@
 //! the solver contains no iteration-order-sensitive reads of its hash
 //! tables. `tests/determinism.rs` pins that contract.
 //!
-//! For batches of independent nets, [`Solver::solve_batch`] fans the
-//! requests out over a pool of workspaces (one per worker thread) and
-//! returns results in request order, again bit-identical to sequential
-//! solving.
+//! Parallel callers hold one [`SolverWorkspace`] per worker thread and
+//! call [`Solver::solve_with`] / [`Solver::solve_into`] — the router's
+//! `WorkerPool` does.
 
 use crate::future::FutureCost;
 use crate::solver::{solve_in, Instance, SolveResult, SolverOptions, SolverWorkspace};
 use cds_graph::{Graph, SteinerGraph, VertexId};
-use cds_heap::QueueKind;
 use cds_topo::BifurcationConfig;
 
 /// Session-level solver configuration: the §III enhancement toggles and
@@ -56,9 +54,6 @@ pub struct SessionConfig {
     /// Default seed for the randomized Steiner placement; a
     /// [`Request::seed`] overrides it per net.
     pub seed: u64,
-    /// Which label queue drives the searches (a pure performance knob:
-    /// both kinds serve the identical total pop order).
-    pub queue: QueueKind,
     /// Batched multi-sink search (see [`SolverOptions::batch`]): keeps
     /// member searches alive across sink–sink merges instead of
     /// restarting one labelling from each new Steiner terminal. Changes
@@ -78,17 +73,12 @@ impl SessionConfig {
 
     /// All §III enhancements on — the single source of truth for the
     /// defaults of [`SolverOptions`],
-    /// [`SolverBuilder`], and the router's `CdOracle` alike (keeping
-    /// the compat path and the session path bit-identical).
+    /// [`SolverBuilder`], and the router's `CdOracle` alike.
     pub const DEFAULT: SessionConfig = SessionConfig {
         discount_components: true,
         better_steiner: true,
         encourage_root: true,
         seed: Self::DEFAULT_SEED,
-        // keep in sync with `QueueKind::default()` (const ctx can't
-        // call it): the bucket queue pops the same total order as the
-        // two-level heap, so the fast kind is the default
-        queue: QueueKind::Bucket,
         batch: false,
     };
 
@@ -98,7 +88,6 @@ impl SessionConfig {
         better_steiner: false,
         encourage_root: false,
         seed: Self::DEFAULT_SEED,
-        queue: QueueKind::Bucket,
         batch: false,
     };
 
@@ -160,12 +149,6 @@ impl SolverBuilder {
         self
     }
 
-    /// Selects the label queue (a pure performance knob).
-    pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.config.queue = kind;
-        self
-    }
-
     /// Toggles batched multi-sink search.
     pub fn batch(mut self, on: bool) -> Self {
         self.config.batch = on;
@@ -175,7 +158,7 @@ impl SolverBuilder {
     /// Finishes the session. The workspace starts empty and grows to the
     /// session's largest instance, then stays warm.
     pub fn build(self) -> Solver {
-        Solver { config: self.config, ws: SolverWorkspace::new(), pool: Vec::new() }
+        Solver { config: self.config, ws: SolverWorkspace::new() }
     }
 }
 
@@ -187,7 +170,7 @@ impl SolverBuilder {
 /// [`Solver`]'s workspace. The graph travels with the request (not the
 /// session) because rip-up & re-route loops route each net in its own
 /// bounding-box window, and is generic over the [`SteinerGraph`]
-/// backend: a materialized [`Graph`] (the default) or a zero-copy
+/// backend: a whole [`Graph`] (the default) or a zero-copy
 /// [`WindowView`](cds_graph::WindowView) — possibly behind `dyn
 /// RoutingSurface`, which is how the router passes it.
 pub struct Request<'a, G: ?Sized = Graph> {
@@ -336,15 +319,11 @@ impl<'a, G: ?Sized> Request<'a, G> {
 ///
 /// See the [module docs](self) for the motivation and the determinism
 /// contract. Construct with [`Solver::builder`] (or [`Solver::new`] for
-/// defaults); solve with [`solve`](Solver::solve) /
-/// [`solve_batch`](Solver::solve_batch).
+/// defaults); solve with [`solve`](Solver::solve).
 #[derive(Debug, Default)]
 pub struct Solver {
     config: SessionConfig,
     ws: SolverWorkspace,
-    /// Extra workspaces for [`solve_batch`](Self::solve_batch) workers;
-    /// grown on demand, kept warm across batches.
-    pool: Vec<SolverWorkspace>,
 }
 
 impl Solver {
@@ -360,7 +339,7 @@ impl Solver {
 
     /// A session with an explicit configuration.
     pub fn with_config(config: SessionConfig) -> Self {
-        Solver { config, ws: SolverWorkspace::new(), pool: Vec::new() }
+        Solver { config, ws: SolverWorkspace::new() }
     }
 
     /// The session configuration.
@@ -429,81 +408,6 @@ impl Solver {
         let opts = Self::options(config, req);
         crate::solver::solve_forest_in(ws, &inst, &opts, forest, slot)
     }
-
-    /// Solves independent requests in parallel over a pool of
-    /// workspaces, returning results in request order.
-    ///
-    /// Results are bit-identical to solving the requests sequentially
-    /// (and therefore to fresh-per-call [`solve`](crate::solve)):
-    /// parallelism only changes *which* workspace serves a request, and
-    /// workspaces carry no state between solves. `threads` is clamped to
-    /// `[1, reqs.len()]`; the workspace pool persists across batches, so
-    /// steady-state batches allocate almost nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two requests share one [`FutureCost`] instance. A
-    /// future specializes to its net's targets during the solve
-    /// ([`note_new_targets`](crate::FutureCost::note_new_targets)), so
-    /// sharing one across concurrently solved requests would race and
-    /// break the bit-identical contract — build one future per request
-    /// (they are cheap relative to a solve).
-    pub fn solve_batch<G: SteinerGraph + ?Sized>(
-        &mut self,
-        reqs: &[Request<'_, G>],
-        threads: usize,
-    ) -> Vec<SolveResult> {
-        let n = reqs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // zero-sized futures (e.g. NoFutureCost) are stateless and may
-        // share addresses; only stateful instances can race
-        let stateful = |r: &&Request<'_, G>| r.future.is_some_and(|f| std::mem::size_of_val(f) > 0);
-        let mut future_ptrs: Vec<*const ()> = reqs
-            .iter()
-            .filter(stateful)
-            .map(|r| {
-                let f = r.future.expect("filtered to Some");
-                f as *const dyn FutureCost as *const ()
-            })
-            .collect();
-        let stateful_count = future_ptrs.len();
-        future_ptrs.sort_unstable();
-        future_ptrs.dedup();
-        assert_eq!(
-            future_ptrs.len(),
-            stateful_count,
-            "solve_batch requests must not share a FutureCost instance (one future per net)"
-        );
-        let threads = threads.clamp(1, n);
-        if threads == 1 {
-            return reqs.iter().map(|r| self.solve(r)).collect();
-        }
-        // one workspace per worker: the primary plus pool extras
-        while self.pool.len() + 1 < threads {
-            self.pool.push(SolverWorkspace::new());
-        }
-        let chunk = n.div_ceil(threads);
-        let mut results: Vec<Option<SolveResult>> = (0..n).map(|_| None).collect();
-        let config = self.config;
-        {
-            let mut workspaces: Vec<&mut SolverWorkspace> =
-                std::iter::once(&mut self.ws).chain(self.pool.iter_mut()).collect();
-            std::thread::scope(|scope| {
-                for ((req_chunk, out_chunk), ws) in
-                    reqs.chunks(chunk).zip(results.chunks_mut(chunk)).zip(workspaces.drain(..))
-                {
-                    scope.spawn(move || {
-                        for (req, out) in req_chunk.iter().zip(out_chunk.iter_mut()) {
-                            *out = Some(Self::solve_with(&config, ws, req));
-                        }
-                    });
-                }
-            });
-        }
-        results.into_iter().map(|r| r.expect("every request solved")).collect()
-    }
 }
 
 #[cfg(test)]
@@ -533,37 +437,6 @@ mod tests {
             assert!(trees_equal(&fresh, &reused), "reuse must not change results");
         }
         assert_eq!(solver.solves(), 5);
-    }
-
-    #[test]
-    fn batch_matches_sequential_in_request_order() {
-        let grid = GridSpec::uniform(10, 10, 2).build();
-        let (c, d) = (grid.graph().base_costs(), grid.graph().delays());
-        let root = grid.vertex(0, 0, 0);
-        let sink_sets: Vec<Vec<u32>> = (0..13)
-            .map(|i| {
-                vec![
-                    grid.vertex(9, (i * 3) % 10, 0),
-                    grid.vertex((i * 7) % 10, 9, 0),
-                    grid.vertex((2 + i) % 10, (5 + i * 5) % 10, 0),
-                ]
-            })
-            .collect();
-        let weights = [1.0, 0.25, 2.0];
-        let reqs: Vec<Request<'_>> = sink_sets
-            .iter()
-            .map(|s| {
-                Request::new(grid.graph(), &c, &d, root, s, &weights)
-                    .with_bif(BifurcationConfig::new(2.0, 0.25))
-            })
-            .collect();
-        let mut solver = Solver::new();
-        let sequential: Vec<SolveResult> = reqs.iter().map(|r| solver.solve(r)).collect();
-        let batched = solver.solve_batch(&reqs, 4);
-        assert_eq!(batched.len(), sequential.len());
-        for (s, b) in sequential.iter().zip(&batched) {
-            assert!(trees_equal(s, b), "batch must match sequential bit-for-bit");
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Algorithm 1 — the cost-distance Steiner tree algorithm.
 //!
 //! The solver runs one Dijkstra per active terminal *simultaneously*
-//! (two-level heap, §III-B), each with its individual metric
-//! `l_u(e) = c(e) + w(u)·d(e)` (Eq. (4)). Whenever a search enters a
+//! (one label queue over all searches, §III-B), each with its individual
+//! metric `l_u(e) = c(e) + w(u)·d(e)` (Eq. (4)). Whenever a search enters a
 //! vertex of another terminal's component, a *candidate* connection with
 //! value `L(u, v) = dist + b(u, v)` (Eq. (5)) is recorded; once the
 //! globally smallest heap key can no longer beat the best candidate, that
@@ -12,17 +12,16 @@
 //! search starts from it. Root connections retire their sink instead.
 //!
 //! The solver is generic over [`SteinerGraph`], so the same code routes
-//! a materialized [`Graph`] and a zero-copy
-//! [`WindowView`](cds_graph::WindowView) of the global grid — backends
-//! are specified to produce bit-identical trees. All per-solve state
-//! lives in dense, epoch-stamped [`VertexTable`]
+//! a whole [`Graph`] and a zero-copy
+//! [`WindowView`](cds_graph::WindowView) of the global grid. All
+//! per-solve state lives in dense, epoch-stamped [`VertexTable`]
 //! slabs pooled by the [`SolverWorkspace`]: clearing is an epoch bump,
 //! and a warm workspace solves without touching the allocator.
 //!
 //! Enhancements (all individually toggleable in [`SolverOptions`]):
 //! §III-A component reuse (searches are seeded with the whole component
 //! at delay-true offsets, so tree edges cost no connection charge),
-//! §III-B two-level heap (always on — it is the queue), §III-C A* future
+//! §III-B simultaneous label queue (always on), §III-C A* future
 //! costs, §III-D Steiner re-embedding, §III-E root-connection
 //! encouragement.
 
@@ -32,7 +31,7 @@ use crate::future::{FutureCost, GridFutureCost, NoFutureCost};
 use crate::search::{Label, Search};
 use crate::table::VertexTable;
 use cds_graph::{EdgeId, Graph, SteinerGraph, VertexId};
-use cds_heap::{BucketQueue, LabelQueue, OrderedF64, QueueKind, TwoLevelHeap};
+use cds_heap::{BucketQueue, OrderedF64};
 use cds_topo::penalty::beta;
 use cds_topo::{BifurcationConfig, EmbeddedTree, Evaluation};
 use rand::rngs::StdRng;
@@ -45,7 +44,7 @@ const NO_LINK: u32 = u32::MAX;
 
 /// A cost-distance Steiner tree instance (paper Eq. (1) + (3)).
 ///
-/// Generic over the graph backend: `G` defaults to the materialized
+/// Generic over the graph backend: `G` defaults to the CSR
 /// [`Graph`], and the router instantiates it with the zero-copy
 /// [`WindowView`](cds_graph::WindowView) (through `dyn
 /// RoutingSurface`). Cost/delay slices are indexed by edge id and must
@@ -106,11 +105,7 @@ pub struct SolverOptions<'a> {
     pub seed: u64,
     /// Record a per-merge trace (for the Fig. 3 reproduction).
     pub record_trace: bool,
-    /// Which label queue drives the simultaneous searches. Both kinds
-    /// serve the identical total pop order `(key, search, vertex)`, so
-    /// this is purely a performance knob — results are bit-identical.
-    pub queue: QueueKind,
-    /// Key granularity hint for [`QueueKind::Bucket`] (the minimum
+    /// Key granularity hint for the bucket queue (the minimum
     /// positive edge cost of the surface). Any positive finite value is
     /// correct; `None` scans the instance's cost slice, which windowed
     /// callers should avoid by passing the surface-wide minimum.
@@ -134,7 +129,6 @@ impl std::fmt::Debug for SolverOptions<'_> {
             .field("encourage_root", &self.encourage_root)
             .field("seed", &self.seed)
             .field("record_trace", &self.record_trace)
-            .field("queue", &self.queue)
             .field("quantum", &self.quantum)
             .field("batch", &self.batch)
             .finish()
@@ -159,7 +153,6 @@ impl<'a> SolverOptions<'a> {
             encourage_root: config.encourage_root,
             seed: config.seed,
             record_trace: false,
-            queue: config.queue,
             quantum: None,
             batch: config.batch,
         }
@@ -212,9 +205,8 @@ pub enum MergeEvent {
 /// kernel observability surface (`cds-cli route` JSON, the benches).
 ///
 /// All counters are deterministic for a given instance + options: they
-/// count algorithmic events, not wall-clock or queue internals — with
-/// one exception, `bucket_scans`, which is still deterministic but only
-/// nonzero under [`QueueKind::Bucket`].
+/// count algorithmic events, not wall-clock — `bucket_scans` is the
+/// one queue-internal counter, deterministic all the same.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Vertices permanently labelled over all searches.
@@ -229,8 +221,8 @@ pub struct SolveStats {
     pub decreased: usize,
     /// Merges performed (= `|S|`).
     pub merges: usize,
-    /// Bucket-array slots scanned by the Dial queue (0 under the
-    /// comparison heap) — the `C/Δ` term of Dial's complexity.
+    /// Bucket-array slots scanned by the Dial queue — the `C/Δ` term
+    /// of Dial's complexity.
     pub bucket_scans: u64,
 }
 
@@ -342,10 +334,9 @@ pub(crate) fn solve_forest_in<G: SteinerGraph + ?Sized>(
     stats
 }
 
-/// The shared front of both solve paths: validates the instance, picks
-/// the label queue, runs the merge loop to completion, and hands back
-/// the root component's edge set (the tree-to-be) with the work
-/// counters and optional trace.
+/// The shared front of both solve paths: validates the instance, runs
+/// the merge loop to completion, and hands back the root component's
+/// edge set (the tree-to-be) with the work counters and optional trace.
 fn solve_core<G: SteinerGraph + ?Sized>(
     ws: &mut SolverWorkspace,
     inst: &Instance<'_, G>,
@@ -362,27 +353,16 @@ fn solve_core<G: SteinerGraph + ?Sized>(
     // merge loop: the solver then holds it as a *separate* borrow from
     // the workspace, which lets the expansion hot loop keep one search
     // borrowed across all its neighbor relaxations while pushing labels.
-    match opts.queue {
-        QueueKind::Heap => {
-            let mut queue = std::mem::take(&mut ws.heap);
-            queue.begin_solve(1.0);
-            let out = run_merge_loop(ws, inst, opts, &mut queue);
-            ws.heap = queue;
-            out
-        }
-        QueueKind::Bucket => {
-            let quantum = opts
-                .quantum
-                .filter(|q| q.is_finite() && *q > 0.0)
-                .unwrap_or_else(|| min_positive_cost(inst));
-            let mut queue = std::mem::take(&mut ws.bucket);
-            queue.begin_solve(quantum);
-            let mut out = run_merge_loop(ws, inst, opts, &mut queue);
-            out.1.bucket_scans = queue.scans();
-            ws.bucket = queue;
-            out
-        }
-    }
+    let quantum = opts
+        .quantum
+        .filter(|q| q.is_finite() && *q > 0.0)
+        .unwrap_or_else(|| min_positive_cost(inst));
+    let mut queue = std::mem::take(&mut ws.bucket);
+    queue.begin_solve(quantum);
+    let mut out = run_merge_loop(ws, inst, opts, &mut queue);
+    out.1.bucket_scans = queue.scans();
+    ws.bucket = queue;
+    out
 }
 
 /// The bucket-queue quantum fallback: the minimum positive congestion
@@ -406,11 +386,11 @@ fn min_positive_cost<G: SteinerGraph + ?Sized>(inst: &Instance<'_, G>) -> f64 {
 
 /// Runs the merge loop against an explicit queue (the solver state's
 /// second mutable borrow next to the workspace).
-fn run_merge_loop<G: SteinerGraph + ?Sized, Q: LabelQueue>(
+fn run_merge_loop<G: SteinerGraph + ?Sized>(
     ws: &mut SolverWorkspace,
     inst: &Instance<'_, G>,
     opts: &SolverOptions<'_>,
-    queue: &mut Q,
+    queue: &mut BucketQueue,
 ) -> (Component, SolveStats, Vec<MergeEvent>) {
     let mut state = State::new(inst, opts, ws, queue);
     while state.active_count > 0 {
@@ -452,13 +432,13 @@ struct Candidate {
 }
 
 /// The reusable buffers of one solver run: terminals, per-search label
-/// slabs, the two-level heap, candidate stores, component pools, and
+/// slabs, the label queue, candidate stores, component pools, and
 /// the dense scratch arenas for merge-time tables and tree assembly.
 ///
 /// A workspace holds no semantic state between solves — only warmed-up
 /// capacity. [`reset`](Self::reset) (called automatically by every
-/// solve) clears contents but returns searches, components, and
-/// sub-heaps to internal pools instead of dropping them; every
+/// solve) clears contents but returns searches and components to
+/// internal pools instead of dropping them; every
 /// vertex-keyed table is an epoch-stamped [`VertexTable`] whose clear is
 /// `O(1)`. This is where the session API's allocation savings come
 /// from. Create one through [`Solver`](crate::Solver), or directly with
@@ -468,9 +448,6 @@ struct Candidate {
 pub struct SolverWorkspace {
     terminals: Vec<Terminal>,
     dsu: Dsu,
-    heap: TwoLevelHeap,
-    /// The Dial-queue twin of `heap`; only one of the two is active per
-    /// solve (the [`SolverOptions::queue`] knob), both stay warm.
     bucket: BucketQueue,
     searches: Vec<Option<Search>>,
     /// vertex → head of its slot list in `slot_links` (stale slots
@@ -533,8 +510,8 @@ impl SolverWorkspace {
 
     /// Clears all per-solve state while keeping every allocation:
     /// collection capacities survive, epoch-stamped tables clear in
-    /// `O(1)`, and searches / components / sub-heaps move to pools for
-    /// the next solve.
+    /// `O(1)`, and searches / components move to pools for the next
+    /// solve.
     pub fn reset(&mut self) {
         for mut t in self.terminals.drain(..) {
             if let Some(mut comp) = t.comp.take() {
@@ -550,7 +527,6 @@ impl SolverWorkspace {
         }
         self.searches.clear();
         self.dsu.clear();
-        self.heap.clear();
         self.bucket.clear();
         self.slot_head.clear();
         self.slot_links.clear();
@@ -617,11 +593,11 @@ impl SolverWorkspace {
     }
 }
 
-struct State<'w, 'a, 'b, G: ?Sized, Q> {
+struct State<'w, 'a, 'b, G: ?Sized> {
     inst: &'a Instance<'a, G>,
     opts: &'a SolverOptions<'b>,
     ws: &'w mut SolverWorkspace,
-    queue: &'w mut Q,
+    queue: &'w mut BucketQueue,
     root_slot: TerminalId,
     active_count: usize,
     total_active_weight: f64,
@@ -641,12 +617,12 @@ struct State<'w, 'a, 'b, G: ?Sized, Q> {
     cand_cache: Option<Option<(f64, usize)>>,
 }
 
-impl<'w, 'a, 'b, G: SteinerGraph + ?Sized, Q: LabelQueue> State<'w, 'a, 'b, G, Q> {
+impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
     fn new(
         inst: &'a Instance<'a, G>,
         opts: &'a SolverOptions<'b>,
         ws: &'w mut SolverWorkspace,
-        queue: &'w mut Q,
+        queue: &'w mut BucketQueue,
     ) -> Self {
         let mut state = State {
             inst,

@@ -47,4 +47,4 @@ pub use graph::{EdgeAttrs, EdgeId, EdgeKind, Endpoints, Graph, GraphBuilder, Ver
 pub use grid::{Direction, GridGraph, GridSpec, LayerSpec, VertexCoord, WireTypeSpec};
 pub use shard::ShardGrid;
 pub use steiner::{RoutingSurface, SteinerGraph};
-pub use window::{window_bounds, EdgeIndex, GridWindow, WindowView};
+pub use window::{window_bounds, WindowView};

@@ -20,14 +20,13 @@
 //!
 //! # Determinism contract
 //!
-//! [`neighbors_into`](SteinerGraph::neighbors_into) must enumerate
-//! neighbors in a backend-independent order for corresponding vertices:
-//! `WindowView` yields the window-restricted neighbors in ascending
-//! global edge id order, which is order-isomorphic to the CSR adjacency
-//! order of the materialized window grid (grid edges are laid out
-//! lexicographically in (layer, y, x), and translating a window does not
-//! reorder them). This is what makes routing over a view bit-identical
-//! to routing over a materialized window.
+//! [`neighbors_into`](SteinerGraph::neighbors_into) must enumerate a
+//! vertex's neighbors in one fixed order — the solver's tie-breaks and
+//! so the pinned goldens depend on it. `WindowView` yields the global
+//! CSR adjacency of the vertex filtered to the window, in the global
+//! order (ascending global edge id; grid edges are laid out
+//! lexicographically in (layer, y, x), so translating a window does not
+//! reorder them).
 
 use crate::graph::{EdgeAttrs, EdgeId, Endpoints, Graph, VertexId};
 use crate::grid::GridGraph;
@@ -106,7 +105,7 @@ impl SteinerGraph for GridGraph {
 /// cost/delay bounds exist for goal-oriented search.
 ///
 /// This is the surface the router's oracles route on; both the global
-/// [`GridGraph`] (or a materialized window of it) and the zero-copy
+/// [`GridGraph`] and the zero-copy
 /// [`WindowView`](crate::window::WindowView) implement it.
 pub trait RoutingSurface: SteinerGraph {
     /// Planar extent `(nx, ny)` of this surface's vertex id space.

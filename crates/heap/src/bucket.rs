@@ -141,8 +141,9 @@ enum Loc {
 
 /// Monotone bucket queue over (search, vertex, key) triples — the Dial
 /// alternative to [`TwoLevelHeap`](crate::TwoLevelHeap), sharing its
-/// exact surface *and its exact pop order* `(key, search, vertex)`, so
-/// the solver can switch queues without changing a single routed bit.
+/// exact surface *and its exact pop order* `(key, search, vertex)`
+/// (pinned by the `pop_sequence_matches_two_level_heap` proptest), so
+/// the goldens recorded over the heap stay valid over this queue.
 ///
 /// ```
 /// use cds_heap::BucketQueue;

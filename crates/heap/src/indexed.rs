@@ -9,19 +9,14 @@
 //!   per-sink sub-heaps of [`TwoLevelHeap`](crate::TwoLevelHeap): ids are
 //!   the solver's compact window-local vertex ids, slabs grow on demand
 //!   and stay warm across pooled reuse, and `clear` is one epoch bump
-//!   instead of an `O(n)` wipe;
-//! * [`SparseIndexedHeap`] uses a `HashMap` — for callers whose id space
-//!   is genuinely unbounded.
-
-use std::collections::HashMap;
+//!   instead of an `O(n)` wipe.
 
 /// Maps an id to its index in the heap array.
 ///
 /// Implementation detail of the heaps; sealed by being private to the
-/// crate's public surface (only the two aliases below are exported).
+/// crate's public surface (only the aliases below are exported).
 pub trait PositionMap: Default {
-    /// Creates a map able to hold ids `0..capacity` (dense) or any ids
-    /// (sparse, capacity is a size hint).
+    /// Creates a map able to hold ids `0..capacity`.
     fn with_capacity(capacity: usize) -> Self;
     /// Position of `id`, if queued.
     fn get(&self, id: u32) -> Option<u32>;
@@ -111,30 +106,8 @@ impl PositionMap for StampedPos {
     }
 }
 
-/// Sparse position map backed by a `HashMap`.
-#[derive(Debug, Clone, Default)]
-pub struct SparsePos(HashMap<u32, u32>);
-
-impl PositionMap for SparsePos {
-    fn with_capacity(capacity: usize) -> Self {
-        SparsePos(HashMap::with_capacity(capacity.min(64)))
-    }
-    fn get(&self, id: u32) -> Option<u32> {
-        self.0.get(&id).copied()
-    }
-    fn set(&mut self, id: u32, p: u32) {
-        self.0.insert(id, p);
-    }
-    fn remove(&mut self, id: u32) {
-        self.0.remove(&id);
-    }
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-}
-
 /// The shared heap implementation. Use via [`IndexedBinaryHeap`] or
-/// [`SparseIndexedHeap`].
+/// the stamped aliases.
 ///
 /// `TIE` selects the comparison: `false` orders by key alone (ties
 /// resolve by heap structure — cheapest, and all single-source Dijkstra
@@ -195,19 +168,9 @@ pub type StampedIndexedHeap = RawIndexedHeap<StampedPos>;
 /// ```
 pub type TieStampedIndexedHeap = RawIndexedHeap<StampedPos, true>;
 
-/// Sparse-id binary min-heap with decrease-key, for unbounded id spaces.
-///
-/// ```
-/// use cds_heap::SparseIndexedHeap;
-/// let mut h = SparseIndexedHeap::new(0);
-/// h.push(1_000_000, 2.0); // ids need not be dense
-/// assert_eq!(h.pop(), Some((1_000_000, 2.0)));
-/// ```
-pub type SparseIndexedHeap = RawIndexedHeap<SparsePos>;
-
 impl<M: PositionMap, const TIE: bool> RawIndexedHeap<M, TIE> {
     /// Creates an empty heap. For the dense variant `capacity` must bound
-    /// all ids ever pushed; for the sparse variant it is a size hint.
+    /// all ids ever pushed; the stamped variants grow on demand.
     pub fn new(capacity: usize) -> Self {
         RawIndexedHeap { heap: Vec::new(), pos: M::with_capacity(capacity) }
     }
@@ -390,15 +353,6 @@ mod tests {
         assert_eq!(h.pop(), Some((1, 9.0)));
     }
 
-    #[test]
-    fn sparse_accepts_large_ids() {
-        let mut h = SparseIndexedHeap::new(0);
-        h.push(u32::MAX - 1, 1.0);
-        h.push(12345, 0.5);
-        assert_eq!(h.pop(), Some((12345, 0.5)));
-        assert_eq!(h.pop(), Some((u32::MAX - 1, 1.0)));
-    }
-
     fn reference_run<M: PositionMap>(mut h: RawIndexedHeap<M>, ops: Vec<(u32, f64)>) {
         let mut reference: std::collections::HashMap<u32, f64> = Default::default();
         for (id, key) in ops {
@@ -428,7 +382,7 @@ mod tests {
         #[test]
         fn matches_reference(ops in proptest::collection::vec((0u32..64, 0.0f64..100.0), 1..200)) {
             reference_run(IndexedBinaryHeap::new(64), ops.clone());
-            reference_run(SparseIndexedHeap::new(0), ops);
+            reference_run(StampedIndexedHeap::new(0), ops);
         }
 
         /// The tie-ordered variant pops in exact `(key, id)` order, not

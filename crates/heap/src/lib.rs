@@ -21,9 +21,10 @@
 //!   baseline in the `heap` Criterion bench.
 //!
 //! [`TwoLevelHeap`] and [`BucketQueue`] share the [`LabelQueue`] surface
-//! *and the total pop order* `(key, search, vertex)` — the determinism
-//! contract that lets the solver switch queues (the
-//! [`QueueKind`] knob) without changing a single routed bit.
+//! *and the total pop order* `(key, search, vertex)`, pinned by the
+//! pop-sequence proptest in [`bucket`]. The solver runs on
+//! [`BucketQueue`]; [`TwoLevelHeap`] is the paper's structure, that
+//! proptest's reference, and the comparison row of the benchmarks.
 //!
 //! # Examples
 //!
@@ -46,46 +47,10 @@ pub mod ordered;
 pub mod two_level;
 
 pub use bucket::BucketQueue;
-pub use indexed::{
-    IndexedBinaryHeap, SparseIndexedHeap, StampedIndexedHeap, TieStampedIndexedHeap,
-};
+pub use indexed::{IndexedBinaryHeap, StampedIndexedHeap, TieStampedIndexedHeap};
 pub use lazy::LazyHeap;
 pub use ordered::OrderedF64;
 pub use two_level::TwoLevelHeap;
-
-/// Which label queue drives the solver's simultaneous searches.
-///
-/// Both serve the identical total pop order, so the choice is purely a
-/// performance knob (`queue=heap|bucket` on the router surface):
-/// results are bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// The paper's §III-B two-level comparison heap ([`TwoLevelHeap`]).
-    Heap,
-    /// The monotone bucket queue ([`BucketQueue`]) — the fast default.
-    #[default]
-    Bucket,
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Bucket => "bucket",
-        })
-    }
-}
-
-impl std::str::FromStr for QueueKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(QueueKind::Heap),
-            "bucket" => Ok(QueueKind::Bucket),
-            other => Err(format!("unknown queue kind {other:?} (expected heap|bucket)")),
-        }
-    }
-}
 
 /// The queue surface the solver's merge loop drives: simultaneous
 /// searches with dense ids, decrease-only label pushes, and extraction

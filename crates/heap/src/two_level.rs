@@ -25,9 +25,8 @@ use std::collections::BinaryHeap;
 /// sub-heaps break equal-key ties by ascending vertex id, and the top
 /// level breaks equal sub-minima by ascending search id. This is the
 /// determinism contract every label queue in the workspace shares:
-/// [`BucketQueue`](crate::BucketQueue) reproduces the exact same pop
-/// sequence, which is what lets the solver switch queues without
-/// changing a single routed bit.
+/// [`BucketQueue`](crate::BucketQueue), the queue the solver runs on,
+/// reproduces the exact same pop sequence.
 ///
 /// ```
 /// use cds_heap::TwoLevelHeap;

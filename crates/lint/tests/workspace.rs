@@ -171,13 +171,13 @@ fn a_reintroduced_panic_reachable_from_solve_into_fails_the_run() {
 
 #[test]
 fn a_reintroduced_allocation_in_a_hot_fn_fails_the_run() {
-    // A second def named `TwoLevelHeap::push`: the `[[hot]]` pattern
+    // A second def named `BucketQueue::push`: the `[[hot]]` pattern
     // matches both defs, so the planted `Vec::new()` is an allocation
     // inside the hot set.
     let mut files = workspace_files();
     files.push((
         "crates/heap/src/reintroduced_alloc.rs".to_string(),
-        "pub struct TwoLevelHeap;\nimpl TwoLevelHeap {\n    pub fn push(&mut self) -> Vec<u32> { Vec::new() }\n}\n"
+        "pub struct BucketQueue;\nimpl BucketQueue {\n    pub fn push(&mut self) -> Vec<u32> { Vec::new() }\n}\n"
             .to_string(),
     ));
     let report = run_config(&files, &checked_in_config());

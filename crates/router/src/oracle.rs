@@ -109,15 +109,14 @@ impl std::str::FromStr for SteinerMethod {
 
 /// One oracle request: a net inside its routing window.
 ///
-/// The routing region travels as a `&dyn` [`RoutingSurface`], so one
-/// request type covers both window backends: the router's default
-/// zero-copy [`WindowView`](cds_graph::WindowView) (edge ids are global
-/// — `cost`/`delay` are the chip-wide arrays, unsliced) and a
-/// materialized window [`GridGraph`](cds_graph::GridGraph) (edge ids are
-/// window-local — `cost`/`delay` are window slices).
+/// The routing region travels as a `&dyn` [`RoutingSurface`]: the
+/// router passes a zero-copy [`WindowView`](cds_graph::WindowView)
+/// (edge ids are global — `cost`/`delay` are the chip-wide arrays,
+/// unsliced); harnesses may pass a whole
+/// [`GridGraph`](cds_graph::GridGraph).
 #[derive(Clone)]
 pub struct OracleRequest<'a> {
-    /// The routing region (window view or materialized grid).
+    /// The routing region (window view or whole grid).
     pub surface: &'a dyn RoutingSurface,
     /// Edge prices `c(e)`, indexed by the surface's edge ids (≥ base
     /// costs, so grid future costs stay admissible).
@@ -183,10 +182,6 @@ pub struct OracleWorkspace {
     pub(crate) pins: Vec<Point>,
     /// Recycled localized sink-point list.
     pub(crate) local_sinks: Vec<Point>,
-    /// Recycled window price slice (materialized backend only).
-    pub(crate) cost_buf: Vec<f64>,
-    /// Recycled window delay slice (materialized backend only).
-    pub(crate) delay_buf: Vec<f64>,
     /// Recycled objective-evaluation scratch (DFS order, subtree
     /// weights, per-node delays, per-sink delay output).
     pub(crate) eval: EvalScratch,
@@ -391,8 +386,7 @@ impl CdOracle {
 }
 
 /// Shared tail of the three plane-topology baselines: the per-unit cost
-/// model and the optimal embedding (directly over the surface — no
-/// materialization either).
+/// model and the optimal embedding (directly over the surface).
 fn embed_plane_topology(req: &OracleRequest<'_>, topo: &Topology) -> EmbeddedTree {
     let (root, sinks) = req.vertices();
     let env = EmbedEnv { graph: req.surface, cost: req.cost, delay: req.delay, bif: req.bif };

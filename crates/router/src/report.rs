@@ -77,14 +77,13 @@ pub fn outcome_json(chip: &Chip, config: &RouterConfig, out: &RoutingOutcome) ->
     let _ = writeln!(
         s,
         "  \"config\": {{\"oracle\": \"{}\", \"threads\": {}, \"iterations\": {}, \
-         \"incremental\": {}, \"price_tol\": {}, \"queue\": \"{}\", \"batch\": {}, \
+         \"incremental\": {}, \"price_tol\": {}, \"batch\": {}, \
          \"shards\": {}, \"checkpoint_every\": {}}},",
         config.method,
         config.threads,
         config.iterations,
         config.incremental,
         json_f64(config.price_tol),
-        config.queue,
         config.batch,
         config.shards,
         config.checkpoint_every
@@ -156,7 +155,6 @@ mod tests {
             "\"oracle_calls\":",
             "\"iterations_completed\": 2",
             "\"cancelled\": false",
-            "\"queue\":",
             "\"batch\": false",
             "\"shards\": 1",
             "\"checkpoint_every\": 0",

@@ -400,6 +400,17 @@ fn unknown_query_knob_is_rejected_up_front() {
     let resp = client::request(&addr, "POST", "/jobs?bogus=1", smoke_doc().as_bytes()).unwrap();
     assert_eq!(resp.status, 400);
     assert!(resp.text().contains("unknown router knob"));
+    // the knob of the deleted queue selection is unknown like any other
+    let resp = client::request(&addr, "POST", "/jobs?queue=heap", smoke_doc().as_bytes()).unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.text().contains("unknown router knob queue"));
+    // Regression: a NaN temperature used to be accepted here and then
+    // panic the worker in the solver — a failed job instead of a 400.
+    let resp =
+        client::request(&addr, "POST", "/jobs?weight_tau_ps=nan", smoke_doc().as_bytes()).unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.text().contains("bad value nan for weight_tau_ps"), "{}", resp.text());
+    assert_eq!(health(&addr, "jobs"), 0, "a rejected submission must not become a job");
     handle.shutdown();
 }
 

@@ -731,18 +731,6 @@ impl RoutedForest {
         m.used_len = used_edges.len() as u32 - start;
     }
 
-    /// Rewrites `slot`'s path edge ids in place through `map` — how the
-    /// materialized-window backend globalizes window-local edge ids
-    /// before the tree joins the chip-wide forest.
-    pub fn remap_path_edges(&mut self, slot: usize, map: &[EdgeId]) {
-        let m = *self.meta(slot);
-        for e in &mut self.slabs.path_edges
-            [m.path_first as usize..(m.path_first + m.path_total) as usize]
-        {
-            *e = map[*e as usize];
-        }
-    }
-
     /// Records `slot`'s wirelength/via summary scalars.
     pub fn set_summary(&mut self, slot: usize, wirelength_gcells: f64, vias: usize) {
         // INVARIANT: documented contract - slot names a live tree.
@@ -1136,16 +1124,6 @@ mod tests {
         let want: Vec<EdgeId> = tree.edges().collect();
         assert_eq!(dst.view(3).edges(), &want[..]);
         assert!(dst.garbage_ratio() > 0.0, "the replaced tree must count as garbage");
-    }
-
-    #[test]
-    fn remap_rewrites_paths_in_place() {
-        let tree = sample_tree();
-        let mut f = RoutedForest::with_slots(1);
-        f.insert_embedded(0, &tree);
-        let map: Vec<EdgeId> = (0..4).map(|e| e + 7).collect();
-        f.remap_path_edges(0, &map);
-        assert_eq!(f.tree_edges(0), &[7, 8, 9]);
     }
 
     #[test]

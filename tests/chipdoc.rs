@@ -14,7 +14,7 @@
 //!    threads, and replaying the archived 120-request solver stream
 //!    reproduces the sparse-era golden of `tests/determinism.rs`.
 
-use cds_core::{QueueKind, Request, SolveResult, Solver};
+use cds_core::{Request, SolveResult, Solver};
 use cds_geom::Point;
 use cds_graph::GridGraph;
 use cds_graph::{Direction, GridSpec, LayerSpec, WireTypeSpec};
@@ -378,15 +378,13 @@ fn sharded_routing_reproduces_the_unsharded_pinned_checksum() {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "48 fixture routes — minutes in debug; CI runs it via `cargo test --release`"
+    ignore = "24 fixture routes — minutes in debug; CI runs it via `cargo test --release`"
 )]
 fn bucket_queue_reproduces_pinned_checksums_on_all_fixture_chips() {
-    // The bucket-queue acceptance sweep: every archived fixture chip ×
-    // every oracle × 1/4 threads × both label-queue backends must land
-    // on one pinned checksum. The queue knob is a pure performance
-    // choice — `queue=heap` and `queue=bucket` pop the identical total
-    // order `(key, search, vertex)`, so a single constant pins all four
-    // (queue, threads) combinations byte-for-byte.
+    // The release sweep: every archived fixture chip × every oracle ×
+    // 1/4 threads must land on its pinned checksum. The constants were
+    // recorded over the two-level heap; the bucket queue pops the same
+    // total order `(key, search, vertex)`, so they pin it unchanged.
     let pinned: [(&str, [(SteinerMethod, u64); 4]); 3] = [
         (
             "converging.cdst",
@@ -419,26 +417,18 @@ fn bucket_queue_reproduces_pinned_checksums_on_all_fixture_chips() {
     for (name, pins) in pinned {
         let chip = parse_chip_doc(&fixture(name)).unwrap().build_chip();
         for (method, want) in pins {
-            for queue in [QueueKind::Heap, QueueKind::Bucket] {
-                for threads in [1usize, 4] {
-                    let out = Router::new(
-                        &chip,
-                        RouterConfig {
-                            method,
-                            threads,
-                            iterations: 2,
-                            queue,
-                            ..Default::default()
-                        },
-                    )
-                    .run();
-                    let got = out.checksum();
-                    assert_eq!(
-                        got, want,
-                        "{name} {method} queue={queue} threads={threads} drifted: \
-                         {got:#018x} (pinned {want:#018x})"
-                    );
-                }
+            for threads in [1usize, 4] {
+                let out = Router::new(
+                    &chip,
+                    RouterConfig { method, threads, iterations: 2, ..Default::default() },
+                )
+                .run();
+                let got = out.checksum();
+                assert_eq!(
+                    got, want,
+                    "{name} {method} threads={threads} drifted: \
+                     {got:#018x} (pinned {want:#018x})"
+                );
             }
         }
     }

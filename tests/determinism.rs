@@ -6,12 +6,10 @@
 //! parallel router relies on.
 
 use cds_core::{solve, Instance, Request, SolveResult, Solver, SolverOptions};
-use cds_geom::Point;
-use cds_graph::{EdgeIndex, GridGraph, GridSpec, GridWindow, RoutingSurface, WindowView};
+use cds_graph::{GridGraph, GridSpec};
 use cds_instgen::ChipSpec;
 use cds_router::{Router, RouterConfig, SteinerMethod};
 use cds_topo::BifurcationConfig;
-use proptest::prelude::*;
 
 #[test]
 fn solver_bitwise_deterministic_across_repeats() {
@@ -168,9 +166,6 @@ fn fold_result(mut h: u64, r: &SolveResult) -> u64 {
 /// pop order `(key, search, vertex)` (the bucket-queue PR): equal-key
 /// pops now resolve by search id then vertex id instead of heap
 /// insertion history, which legitimately changes CD tie resolution.
-/// Both queue backends reproduce this value — see
-/// `queue_backends_match_bit_for_bit` in `cds-core` and the
-/// queue=bucket sweep in `tests/chipdoc.rs`.
 #[test]
 fn stream_results_match_sparse_era_golden() {
     let grids = [
@@ -192,33 +187,6 @@ fn stream_results_match_sparse_era_golden() {
     }
     println!("stream golden: {h:#018x}");
     assert_eq!(h, 0x9e49cf690e3ee57b, "solver results drifted from the pinned stream golden");
-}
-
-#[test]
-fn solve_batch_matches_sequential_across_thread_counts() {
-    let grids = [GridSpec::uniform(10, 10, 2).build(), GridSpec::uniform(7, 13, 3).build()];
-    let envs: Vec<(Vec<f64>, Vec<f64>)> =
-        grids.iter().map(|g| (g.graph().base_costs(), g.graph().delays())).collect();
-    let stream = heterogeneous_stream(&grids);
-    let reqs: Vec<Request<'_>> = stream
-        .iter()
-        .map(|(gi, sinks, weights, bif, seed)| {
-            let grid = &grids[*gi];
-            let (cost, delay) = &envs[*gi];
-            Request::new(grid.graph(), cost, delay, grid.vertex(0, 0, 0), sinks, weights)
-                .with_bif(*bif)
-                .with_seed(*seed)
-        })
-        .collect();
-    let mut session = Solver::new();
-    let sequential: Vec<SolveResult> = reqs.iter().map(|r| session.solve(r)).collect();
-    for threads in [2, 5, 8] {
-        let batched = session.solve_batch(&reqs, threads);
-        assert_eq!(batched.len(), sequential.len());
-        for (n, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-            assert_bit_identical(s, b, &format!("threads {threads}, request {n}"));
-        }
-    }
 }
 
 #[test]
@@ -244,134 +212,6 @@ fn router_identical_for_1_2_and_8_threads() {
 }
 
 #[test]
-fn window_view_solves_bit_identical_to_materialized_windows() {
-    // The two graph backends — a materialized per-window GridGraph with
-    // sliced cost/delay vectors, and the zero-copy WindowView over the
-    // global grid with global arrays — must produce bit-identical trees
-    // for a 120-net stream of varying windows, sink counts, weights,
-    // penalties, and seeds.
-    let grid = GridSpec::uniform(24, 20, 3).build();
-    let index = EdgeIndex::new(&grid);
-    let base = grid.graph().base_costs();
-    let prices: Vec<f64> =
-        base.iter().enumerate().map(|(e, &c)| c * (1.0 + 0.1 * ((e % 7) as f64))).collect();
-    let delays = grid.graph().delays();
-    let mut view_session = Solver::new();
-    let mut mat_session = Solver::new();
-    for i in 0..120u64 {
-        let k = 1 + (i % 6);
-        let root = Point::new((i * 7 % 24) as i32, (i * 5 % 20) as i32);
-        let sinks: Vec<Point> = (0..k)
-            .map(|j| {
-                Point::new(((3 + i * 11 + j * 13) % 24) as i32, ((1 + i * 3 + j * 7) % 20) as i32)
-            })
-            .collect();
-        let mut pins = vec![root];
-        pins.extend_from_slice(&sinks);
-        let margin = 2 + (i % 4) as u32;
-        let weights: Vec<f64> = (0..k).map(|j| 0.1 + j as f64 * 0.5).collect();
-        let bif = BifurcationConfig::new((i % 4) as f64, 0.25);
-        let seed = i * 17 + 3;
-
-        let window = GridWindow::around(&grid, &index, &pins, margin);
-        let wcost = window.slice(&prices);
-        let wdelay = window.slice(&delays);
-        let wroot = window.grid.vertex_at(window.localize(root));
-        let wsinks: Vec<u32> =
-            sinks.iter().map(|&p| window.grid.vertex_at(window.localize(p))).collect();
-        let mat = mat_session.solve(
-            &Request::new(window.grid.graph(), &wcost, &wdelay, wroot, &wsinks, &weights)
-                .with_bif(bif)
-                .with_seed(seed),
-        );
-
-        let view = WindowView::around(&grid, &pins, margin);
-        let vroot = view.vertex_at(view.localize(root));
-        let vsinks: Vec<u32> = sinks.iter().map(|&p| view.vertex_at(view.localize(p))).collect();
-        let vw = view_session.solve(
-            &Request::new(&view, &prices, &delays, vroot, &vsinks, &weights)
-                .with_bif(bif)
-                .with_seed(seed),
-        );
-
-        assert_eq!(
-            mat.evaluation.total.to_bits(),
-            vw.evaluation.total.to_bits(),
-            "net {i}: objectives differ across backends"
-        );
-        assert_eq!(mat.stats, vw.stats, "net {i}: work counters differ across backends");
-        let mat_edges: Vec<u32> =
-            mat.tree.edges().map(|e| window.to_global_edge[e as usize]).collect();
-        let view_edges: Vec<u32> = vw.tree.edges().collect();
-        assert_eq!(mat_edges, view_edges, "net {i}: trees differ across backends");
-    }
-}
-
-#[test]
-fn router_view_and_materialized_windows_bit_identical() {
-    // Router::run over zero-copy window views ≡ over materialized
-    // windows, for every built-in oracle.
-    let chip = ChipSpec { num_nets: 30, ..ChipSpec::small_test(44) }.generate();
-    for method in SteinerMethod::ALL {
-        let run = |materialize_windows| {
-            Router::new(
-                &chip,
-                RouterConfig {
-                    iterations: 2,
-                    threads: 2,
-                    method,
-                    materialize_windows,
-                    ..Default::default()
-                },
-            )
-            .run()
-        };
-        let view = run(false);
-        let mat = run(true);
-        assert_eq!(view.metrics.ws.to_bits(), mat.metrics.ws.to_bits(), "{method}: WS differs");
-        assert_eq!(view.metrics.tns.to_bits(), mat.metrics.tns.to_bits(), "{method}: TNS differs");
-        assert_eq!(view.metrics.vias, mat.metrics.vias, "{method}: vias differ");
-        assert_eq!(view.usage, mat.usage, "{method}: usage differs");
-        for (i, (a, b)) in view.nets().zip(mat.nets()).enumerate() {
-            assert_eq!(a.used_edges, b.used_edges, "{method}: net {i} edges differ");
-            assert_eq!(a.sink_delays, b.sink_delays, "{method}: net {i} delays differ");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-    /// WindowView routing ≡ materialized-window routing on random chips
-    /// (random generator seed and net count, full CD pipeline with
-    /// future costs, pricing, and STA feedback).
-    #[test]
-    fn window_view_routing_matches_materialized_on_random_chips(
-        chip_seed in 0u64..500,
-        num_nets in 8usize..30,
-    ) {
-        let chip = ChipSpec { num_nets, ..ChipSpec::small_test(chip_seed) }.generate();
-        let run = |materialize_windows| {
-            Router::new(&chip, RouterConfig {
-                iterations: 2,
-                threads: 2,
-                materialize_windows,
-                ..Default::default()
-            })
-            .run()
-        };
-        let view = run(false);
-        let mat = run(true);
-        prop_assert_eq!(view.metrics.ws.to_bits(), mat.metrics.ws.to_bits());
-        prop_assert_eq!(view.metrics.tns.to_bits(), mat.metrics.tns.to_bits());
-        prop_assert_eq!(view.metrics.vias, mat.metrics.vias);
-        prop_assert_eq!(&view.usage, &mat.usage);
-        for (a, b) in view.nets().zip(mat.nets()) {
-            prop_assert_eq!(a.used_edges, b.used_edges);
-        }
-    }
-}
-
-#[test]
 fn chip_generation_is_pure() {
     let spec = ChipSpec::small_test(123);
     let a = spec.generate();
@@ -394,7 +234,6 @@ fn core_types_are_send_and_sync_where_needed() {
     // the router shares these across worker threads
     assert_send_sync::<cds_graph::Graph>();
     assert_send_sync::<cds_graph::GridGraph>();
-    assert_send_sync::<cds_graph::EdgeIndex>();
     assert_send_sync::<cds_graph::WindowView<'static>>();
     assert_send_sync::<cds_instgen::Chip>();
     assert_send::<cds_topo::EmbeddedTree>();

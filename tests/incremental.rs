@@ -39,34 +39,27 @@ fn outcome_bit_identical(a: &RoutingOutcome, b: &RoutingOutcome, ctx: &str) {
 
 #[test]
 fn zero_tol_incremental_bit_identical_to_full_reroute() {
-    // all four oracles × 1/4 threads × both window backends
+    // all four oracles × 1/4 threads
     let chip = ChipSpec { num_nets: 25, ..ChipSpec::small_test(44) }.generate();
     for method in SteinerMethod::ALL {
         for threads in [1usize, 4] {
-            for materialize_windows in [false, true] {
-                let run = |incremental| {
-                    Router::new(
-                        &chip,
-                        RouterConfig {
-                            method,
-                            threads,
-                            materialize_windows,
-                            incremental,
-                            price_tol: 0.0,
-                            iterations: 3,
-                            ..Default::default()
-                        },
-                    )
-                    .run()
-                };
-                let inc = run(true);
-                let full = run(false);
-                outcome_bit_identical(
-                    &inc,
-                    &full,
-                    &format!("{method} threads={threads} mat={materialize_windows}"),
-                );
-            }
+            let run = |incremental| {
+                Router::new(
+                    &chip,
+                    RouterConfig {
+                        method,
+                        threads,
+                        incremental,
+                        price_tol: 0.0,
+                        iterations: 3,
+                        ..Default::default()
+                    },
+                )
+                .run()
+            };
+            let inc = run(true);
+            let full = run(false);
+            outcome_bit_identical(&inc, &full, &format!("{method} threads={threads}"));
         }
     }
 }
@@ -113,25 +106,19 @@ fn clean_net_skipping_is_exact_when_inputs_freeze() {
 }
 
 #[test]
-fn default_tolerance_deterministic_across_threads_and_backends() {
+fn default_tolerance_deterministic_across_threads() {
     // the approximate default diverges from full reroute by design, but
     // must stay bit-reproducible: the schedule is a pure function of
     // shared per-iteration state
     let chip = ChipSpec { num_nets: 40, ..ChipSpec::small_test(17) }.generate();
-    let run = |threads, materialize_windows| {
-        Router::new(
-            &chip,
-            RouterConfig { threads, materialize_windows, iterations: 4, ..Default::default() },
-        )
-        .run()
+    let run = |threads| {
+        Router::new(&chip, RouterConfig { threads, iterations: 4, ..Default::default() }).run()
     };
-    let base = run(1, false);
+    let base = run(1);
     assert!(base.stats.total_rerouted() > 0);
-    for (threads, mat) in [(4, false), (1, true), (4, true)] {
-        let other = run(threads, mat);
-        outcome_bit_identical(&base, &other, &format!("threads={threads} mat={mat}"));
-        assert_eq!(base.stats, other.stats, "schedule differs for threads={threads} mat={mat}");
-    }
+    let other = run(4);
+    outcome_bit_identical(&base, &other, "threads=4");
+    assert_eq!(base.stats, other.stats, "schedule differs for threads=4");
 }
 
 #[test]
