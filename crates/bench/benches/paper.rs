@@ -6,7 +6,7 @@
 //! table harnesses live in `src/bin/` (see EXPERIMENTS.md).
 
 use cds_bench::{instance_comparison, routing_comparison};
-use cds_core::{solve, GridFutureCost, Instance, SolverOptions};
+use cds_core::{GridFutureCost, Request, SessionConfig, Solver};
 use cds_graph::GridSpec;
 use cds_heap::{IndexedBinaryHeap, LazyHeap, TwoLevelHeap};
 use cds_instgen::ChipSpec;
@@ -65,16 +65,9 @@ fn bench_scaling(c: &mut Criterion) {
                 let mut terms = sinks.clone();
                 terms.push(root);
                 let fc = GridFutureCost::new(&grid, &terms);
-                let inst = Instance {
-                    graph: grid.graph(),
-                    cost: &cost,
-                    delay: &delay,
-                    root,
-                    sink_vertices: &sinks,
-                    weights: &weights,
-                    bif: BifurcationConfig::ZERO,
-                };
-                black_box(solve(&inst, &SolverOptions::enhanced(&fc)))
+                let req = Request::new(grid.graph(), &cost, &delay, root, &sinks, &weights)
+                    .with_future(&fc);
+                black_box(Solver::new().solve(&req))
             })
         });
     }
@@ -89,16 +82,8 @@ fn bench_scaling(c: &mut Criterion) {
         let root = grid.vertex(0, 0, 0);
         g.bench_with_input(BenchmarkId::new("gridside", side), &side, |b, _| {
             b.iter(|| {
-                let inst = Instance {
-                    graph: grid.graph(),
-                    cost: &cost,
-                    delay: &delay,
-                    root,
-                    sink_vertices: &sinks,
-                    weights: &weights,
-                    bif: BifurcationConfig::ZERO,
-                };
-                black_box(solve(&inst, &SolverOptions::default()))
+                let req = Request::new(grid.graph(), &cost, &delay, root, &sinks, &weights);
+                black_box(Solver::new().solve(&req))
             })
         });
     }
@@ -114,29 +99,22 @@ fn bench_ablation(c: &mut Criterion) {
         (0..24).map(|_| grid.vertex(rng.gen_range(0..32), rng.gen_range(0..32), 0)).collect();
     let weights = vec![0.2; 24];
     let root = grid.vertex(0, 0, 0);
-    let inst = Instance {
-        graph: grid.graph(),
-        cost: &cost,
-        delay: &delay,
-        root,
-        sink_vertices: &sinks,
-        weights: &weights,
-        bif: BifurcationConfig::new(8.0, 0.25),
-    };
+    let req = Request::new(grid.graph(), &cost, &delay, root, &sinks, &weights)
+        .with_bif(BifurcationConfig::new(8.0, 0.25));
     let mut terms = sinks.clone();
     terms.push(root);
     let mut g = c.benchmark_group("ablation");
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(3));
     g.warm_up_time(Duration::from_secs(1));
-    g.bench_function("base", |b| b.iter(|| black_box(solve(&inst, &SolverOptions::base()))));
-    g.bench_function("enhanced_no_astar", |b| {
-        b.iter(|| black_box(solve(&inst, &SolverOptions::default())))
+    g.bench_function("base", |b| {
+        b.iter(|| black_box(Solver::with_config(SessionConfig::BASE).solve(&req)))
     });
+    g.bench_function("enhanced_no_astar", |b| b.iter(|| black_box(Solver::new().solve(&req))));
     g.bench_function("enhanced_astar", |b| {
         b.iter(|| {
             let fc = GridFutureCost::new(&grid, &terms);
-            black_box(solve(&inst, &SolverOptions::enhanced(&fc)))
+            black_box(Solver::new().solve(&req.with_future(&fc)))
         })
     });
     g.finish();
@@ -207,20 +185,10 @@ fn bench_fig3(c: &mut Criterion) {
         grid.vertex(14, 3, 0),
     ];
     let weights = [2.0, 0.5, 1.0, 0.7, 1.4];
-    let inst = Instance {
-        graph: grid.graph(),
-        cost: &cost,
-        delay: &delay,
-        root: grid.vertex(10, 10, 0),
-        sink_vertices: &sinks,
-        weights: &weights,
-        bif: BifurcationConfig::new(5.0, 0.25),
-    };
-    c.bench_function("fig3_trace", |b| {
-        b.iter(|| {
-            black_box(solve(&inst, &SolverOptions { record_trace: true, ..Default::default() }))
-        })
-    });
+    let req = Request::new(grid.graph(), &cost, &delay, grid.vertex(10, 10, 0), &sinks, &weights)
+        .with_bif(BifurcationConfig::new(5.0, 0.25))
+        .with_trace();
+    c.bench_function("fig3_trace", |b| b.iter(|| black_box(Solver::new().solve(&req))));
 }
 
 criterion_group!(

@@ -10,8 +10,8 @@
 //! Two variants solve the *identical* stream (results are asserted
 //! bit-identical):
 //!
-//! * `fresh`  — the legacy free function `solve()`, reallocating every
-//!   search structure per call;
+//! * `fresh`  — a throwaway `Solver` per call, reallocating every
+//!   search structure;
 //! * `reused` — one `Solver` session, clear-and-reuse.
 //!
 //! A counting global allocator reports allocations and bytes per
@@ -23,7 +23,7 @@
 //!
 //! [`SolverWorkspace`]: cds_core::SolverWorkspace
 
-use cds_core::{solve, Request, Solver, SolverOptions};
+use cds_core::{Request, Solver};
 use cds_graph::{GridGraph, GridSpec};
 use cds_topo::BifurcationConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -137,8 +137,7 @@ fn run_fresh(w: &Workload) -> f64 {
     let mut acc = 0.0;
     for round in 0..ROUNDS {
         for req in requests(w, round) {
-            let opts = SolverOptions { seed: req.seed.unwrap_or(0), ..Default::default() };
-            acc += solve(&req.instance(), &opts).evaluation.total;
+            acc += Solver::new().solve(&req).evaluation.total;
         }
     }
     acc

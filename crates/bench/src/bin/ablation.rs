@@ -7,7 +7,7 @@
 //! (the work A* saves).
 
 use cds_bench::{env_usize, selected_suite};
-use cds_core::{solve, GridFutureCost, Instance, SolverOptions};
+use cds_core::{GridFutureCost, Request, SessionConfig, Solver, SolverWorkspace};
 use cds_graph::{RoutingSurface, WindowView};
 use cds_router::{Router, RouterConfig};
 use cds_topo::BifurcationConfig;
@@ -25,15 +25,16 @@ fn main() {
 
     // the quantum hint keeps each solve from scanning the chip-wide
     // price array behind the window view
-    let quantum = Some(chip.grid.min_cost_per_gcell());
-    let all_on = SolverOptions { quantum, ..Default::default() };
-    let variants: [(&str, SolverOptions); 5] = [
+    let quantum = chip.grid.min_cost_per_gcell();
+    let all_on = SessionConfig::DEFAULT;
+    let variants: [(&str, SessionConfig); 5] = [
         ("full (A-E)", all_on),
-        ("no III-A discount", SolverOptions { discount_components: false, ..all_on }),
-        ("no III-D placement", SolverOptions { better_steiner: false, ..all_on }),
-        ("no III-E root enc.", SolverOptions { encourage_root: false, ..all_on }),
-        ("base (Sec. II)", SolverOptions { quantum, ..SolverOptions::base() }),
+        ("no III-A discount", SessionConfig { discount_components: false, ..all_on }),
+        ("no III-D placement", SessionConfig { better_steiner: false, ..all_on }),
+        ("no III-E root enc.", SessionConfig { encourage_root: false, ..all_on }),
+        ("base (Sec. II)", SessionConfig::BASE),
     ];
+    let mut ws = SolverWorkspace::new();
     let mut sums = vec![0.0f64; variants.len()];
     let mut astar_settled = 0usize;
     let mut plain_settled = 0usize;
@@ -47,29 +48,23 @@ fn main() {
         let root = window.vertex_at(window.localize(net.root));
         let sinks: Vec<u32> =
             net.sinks.iter().map(|&p| window.vertex_at(window.localize(p))).collect();
-        let inst = Instance {
-            graph: &window,
-            cost: &out.prices,
-            delay: &delay,
-            root,
-            sink_vertices: &sinks,
-            weights: &h.weights,
-            bif,
-        };
-        let full = solve(&inst, &variants[0].1).evaluation.total;
+        let req = Request::new(&window, &out.prices, &delay, root, &sinks, &h.weights)
+            .with_bif(bif)
+            .with_quantum(quantum);
+        let full = Solver::solve_with(&all_on, &mut ws, &req).evaluation.total;
         if full <= 0.0 {
             continue;
         }
-        for (i, (_, opts)) in variants.iter().enumerate() {
-            let r = solve(&inst, opts);
+        for (i, (_, config)) in variants.iter().enumerate() {
+            let r = Solver::solve_with(config, &mut ws, &req);
             sums[i] += r.evaluation.total / full - 1.0;
         }
         // work saved by §III-C
         let mut terms = sinks.clone();
         terms.push(root);
         let fc = GridFutureCost::new(&window, &terms);
-        astar_settled += solve(&inst, &SolverOptions { future: Some(&fc), ..all_on }).stats.settled;
-        plain_settled += solve(&inst, &all_on).stats.settled;
+        astar_settled += Solver::solve_with(&all_on, &mut ws, &req.with_future(&fc)).stats.settled;
+        plain_settled += Solver::solve_with(&all_on, &mut ws, &req).stats.settled;
         n += 1;
     }
     println!("§III ablation over {n} instances of {}", chip.name);

@@ -9,7 +9,7 @@
 
 use cds_geom::Point;
 use cds_graph::GridSpec;
-use cds_router::{route_net, OracleRequest, SteinerMethod};
+use cds_router::{OracleRequest, OracleWorkspace, SteinerMethod};
 use cds_topo::BifurcationConfig;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
             bif,
             seed: 7,
         };
-        let tree = route_net(m, &req);
+        let tree = m.oracle().route(&req, &mut OracleWorkspace::new());
         let ev = tree.evaluate(&cost, &delay, &weights, &bif);
         let crit_node = tree
             .sink_nodes()

@@ -8,7 +8,7 @@
 //! This harness runs that instance with tracing enabled and prints the
 //! merge course plus an ASCII rendering of the final tree.
 
-use cds_core::{solve, Instance, MergeEvent, SolverOptions};
+use cds_core::{MergeEvent, Request, Solver};
 use cds_graph::GridSpec;
 use cds_topo::{BifurcationConfig, NodeKind};
 
@@ -25,16 +25,10 @@ fn main() {
     ];
     let weights = [2.0, 0.5, 1.0, 0.7, 1.4];
     let root = grid.vertex(10, 10, 0);
-    let inst = Instance {
-        graph: grid.graph(),
-        cost: &cost,
-        delay: &delay,
-        root,
-        sink_vertices: &sinks,
-        weights: &weights,
-        bif: BifurcationConfig::new(5.0, 0.25),
-    };
-    let result = solve(&inst, &SolverOptions { record_trace: true, ..Default::default() });
+    let req = Request::new(grid.graph(), &cost, &delay, root, &sinks, &weights)
+        .with_bif(BifurcationConfig::new(5.0, 0.25))
+        .with_trace();
+    let result = Solver::new().solve(&req);
     println!("Fig. 3 — course of the algorithm on the 5-sink example\n");
     let coord = |v: u32| {
         let c = grid.coord(v);

@@ -17,7 +17,7 @@
 
 use cds_instgen::{Chip, ChipSpec};
 use cds_metrics::RunMetrics;
-use cds_router::{Router, RouterConfig, SteinerMethod};
+use cds_router::{OracleWorkspace, Router, RouterConfig, SteinerMethod};
 use cds_topo::BifurcationConfig;
 
 /// Reads a `usize` environment knob.
@@ -133,13 +133,17 @@ pub fn instance_comparison(chip: &Chip, use_dbif: bool, iterations: usize) -> In
         BifurcationConfig::ZERO
     };
     let mut table = InstanceTable::default();
+    let mut ws = OracleWorkspace::new();
     for h in &out.harvest {
         let mut objs = [0.0f64; 4];
         for (i, m) in SteinerMethod::ALL.iter().enumerate() {
             // budgets are empty when the final iteration routed before
             // any STA-derived budgets existed (single-iteration runs)
             let budgets = (!h.budgets.is_empty()).then_some(h.budgets.as_slice());
-            objs[i] = router.route_one(h.net, *m, &out.prices, &h.weights, budgets, bif).1;
+            let oracle = m.oracle();
+            objs[i] = router
+                .route_one_with(h.net, oracle, &out.prices, &h.weights, budgets, bif, &mut ws)
+                .1;
         }
         table.add(chip.nets[h.net].sinks.len(), objs);
     }

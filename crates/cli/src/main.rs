@@ -110,10 +110,11 @@ struct Flags {
 }
 
 impl Flags {
-    /// `valued` lists the flags that take a value, `switches` those
-    /// that take none; anything else is rejected (a misspelled flag
-    /// must not silently swallow the following argument).
-    fn parse(args: &[String], valued: &[&str], switches: &[&str]) -> Result<Self, String> {
+    /// `valued` lists (in groups, so commands can share [`KNOB_FLAGS`])
+    /// the flags that take a value, `switches` those that take none;
+    /// anything else is rejected (a misspelled flag must not silently
+    /// swallow the following argument).
+    fn parse(args: &[String], valued: &[&[&str]], switches: &[&str]) -> Result<Self, String> {
         let mut named = Vec::new();
         let mut positionals = Vec::new();
         let mut it = args.iter();
@@ -121,7 +122,7 @@ impl Flags {
             if let Some(name) = a.strip_prefix("--") {
                 if switches.contains(&name) {
                     named.push((name.to_string(), None));
-                } else if valued.contains(&name) {
+                } else if valued.iter().any(|group| group.contains(&name)) {
                     let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                     named.push((name.to_string(), Some(v.clone())));
                 } else {
@@ -195,7 +196,7 @@ fn preset_spec(name: &str) -> Result<ChipSpec, String> {
 const GEN_FLAGS: &[&str] = &["preset", "nets", "layers", "seed", "utilization", "name"];
 
 fn gen(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, GEN_FLAGS, &[])?;
+    let flags = Flags::parse(args, &[GEN_FLAGS], &[])?;
     let mut spec = preset_spec(flags.get("preset").unwrap_or("small"))?;
     if let Some(n) = flags.num::<usize>("nets")? {
         spec.num_nets = n;
@@ -247,6 +248,30 @@ fn load_streamed(path: Option<&str>) -> Result<StreamedChip, String> {
     }
 }
 
+/// The flags that set router knobs — accepted by every command that
+/// routes, locally or through a daemon. All but `--price-tol` and
+/// `--set key=value` are spelled like the knob they set.
+const KNOB_FLAGS: &[&str] =
+    &["oracle", "threads", "iterations", "incremental", "price-tol", "seed", "set"];
+
+/// The router-knob overrides on a command line as `(knob, value)`
+/// pairs in command-line order — the one flag → knob list both the
+/// local route ([`build_config`]) and a daemon submission
+/// ([`query_from_flags`]) apply, so the two cannot drift apart.
+fn knob_overrides(flags: &Flags) -> Result<Vec<(String, String)>, String> {
+    let mut pairs = Vec::new();
+    for (name, value) in flags.named.iter().filter(|(n, _)| KNOB_FLAGS.contains(&n.as_str())) {
+        let v = value.as_deref().unwrap_or("");
+        let (knob, v) = match name.as_str() {
+            "set" => v.split_once('=').ok_or_else(|| format!("--set wants key=value, got {v}"))?,
+            "price-tol" => ("price_tol", v),
+            knob => (knob, v),
+        };
+        pairs.push((knob.to_string(), v.to_string()));
+    }
+    Ok(pairs)
+}
+
 /// Default config ← document `config` records ← CLI flags, the flags
 /// strictly in command-line order (so `--set iterations=3
 /// --iterations 9` ends at 9, and vice versa).
@@ -255,21 +280,8 @@ fn build_config(records: &[(String, String)], flags: &Flags) -> Result<RouterCon
     for (k, v) in records {
         config.set_knob(k, v).map_err(|e| format!("document config record: {e}"))?;
     }
-    for (name, value) in &flags.named {
-        let v = value.as_deref().unwrap_or("");
-        match name.as_str() {
-            "oracle" | "threads" | "iterations" | "incremental" | "seed" => {
-                config.set_knob(name, v)?;
-            }
-            "price-tol" => config.set_knob("price_tol", v)?,
-            "set" => {
-                let (k, v) =
-                    v.split_once('=').ok_or_else(|| format!("--set wants key=value, got {v}"))?;
-                config.set_knob(k, v)?;
-            }
-            // verify's --expect and the -o output path are not knobs
-            _ => {}
-        }
+    for (k, v) in knob_overrides(flags)? {
+        config.set_knob(&k, &v)?;
     }
     Ok(config)
 }
@@ -289,6 +301,13 @@ fn route_streamed(
     } else {
         None
     };
+    // a full-reroute checkpoint records no price reference; the dirty
+    // tracker of an incremental run cannot be primed from it
+    if config.incremental && resume.is_some_and(|s| s.prices.is_empty()) {
+        return Err("--resume: this checkpoint was written by an incremental=false run and \
+                    carries no scheduler state; resume it with --incremental false"
+            .into());
+    }
     let checkpoint_to = flags.get("checkpoint");
     if checkpoint_to.is_some() && config.checkpoint_every == 0 {
         return Err("--checkpoint needs --set checkpoint_every=K (K > 0)".into());
@@ -326,17 +345,7 @@ fn route_streamed(
     Ok((config, outcome))
 }
 
-const ROUTE_FLAGS: &[&str] = &[
-    "oracle",
-    "threads",
-    "iterations",
-    "incremental",
-    "price-tol",
-    "seed",
-    "set",
-    "expect",
-    "checkpoint",
-];
+const ROUTE_FLAGS: &[&[&str]] = &[KNOB_FLAGS, &["expect", "checkpoint"]];
 const ROUTE_SWITCHES: &[&str] = &["resume"];
 
 fn route(args: &[String]) -> Result<ExitCode, String> {
@@ -502,23 +511,7 @@ fn load_doc_text(path: Option<&str>) -> Result<String, String> {
 /// command-line order — the server applies query overrides in order,
 /// so layering matches a local `cds-cli route` exactly.
 fn query_from_flags(flags: &Flags) -> Result<String, String> {
-    let mut pairs: Vec<(String, String)> = Vec::new();
-    for (name, value) in &flags.named {
-        let v = value.as_deref().unwrap_or("");
-        match name.as_str() {
-            "oracle" | "threads" | "iterations" | "incremental" | "seed" => {
-                pairs.push((name.clone(), v.to_string()));
-            }
-            "price-tol" => pairs.push(("price_tol".into(), v.to_string())),
-            "set" => {
-                let (k, val) =
-                    v.split_once('=').ok_or_else(|| format!("--set wants key=value, got {v}"))?;
-                pairs.push((k.to_string(), val.to_string()));
-            }
-            // addr/clients/requests/... steer the client, not the router
-            _ => {}
-        }
-    }
+    let pairs = knob_overrides(flags)?;
     if pairs.is_empty() {
         return Ok(String::new());
     }
@@ -531,17 +524,7 @@ fn poll_interval(flags: &Flags) -> Result<Duration, String> {
     Ok(Duration::from_millis(flags.num::<u64>("poll-ms")?.unwrap_or(20)))
 }
 
-const SUBMIT_FLAGS: &[&str] = &[
-    "addr",
-    "poll-ms",
-    "oracle",
-    "threads",
-    "iterations",
-    "incremental",
-    "price-tol",
-    "seed",
-    "set",
-];
+const SUBMIT_FLAGS: &[&[&str]] = &[KNOB_FLAGS, &["addr", "poll-ms"]];
 
 fn submit(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, SUBMIT_FLAGS, ROUTE_SWITCHES)?;
@@ -557,21 +540,8 @@ fn submit(args: &[String]) -> Result<ExitCode, String> {
     Ok(if res.state == "done" { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-const LOADTEST_FLAGS: &[&str] = &[
-    "addr",
-    "poll-ms",
-    "clients",
-    "requests",
-    "expect",
-    "min-cache-hits",
-    "oracle",
-    "threads",
-    "iterations",
-    "incremental",
-    "price-tol",
-    "seed",
-    "set",
-];
+const LOADTEST_FLAGS: &[&[&str]] =
+    &[KNOB_FLAGS, &["addr", "poll-ms", "clients", "requests", "expect", "min-cache-hits"]];
 const LOADTEST_SWITCHES: &[&str] = &["shutdown"];
 
 fn loadtest(args: &[String]) -> Result<ExitCode, String> {
@@ -627,5 +597,37 @@ fn emit(path: Option<&str>, text: &str) -> Result<(), String> {
             std::io::stdout().write_all(text.as_bytes()).map_err(|e| format!("stdout: {e}"))
         }
         Some(p) => std::fs::write(p, text).map_err(|e| format!("{p}: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_local_route_and_a_submission_resolve_the_same_config() {
+        // `route` replays the flag line through set_knob; `submit`
+        // sends it as a query string the daemon decodes and replays.
+        // Both orders of an overriding pair, and a value that needs
+        // percent-encoding.
+        for line in [
+            "--set iterations=3 --price-tol 0.25 --iterations 9 --set shards=4 --oracle sl",
+            "--iterations 9 --set price_tol=0.5 --price-tol 0.25 --set iterations=3 --seed 7",
+            "--set weight_tau_ps=1e+3 --threads 2 --incremental false",
+        ] {
+            let args: Vec<String> = line.split(' ').map(String::from).collect();
+            let flags = Flags::parse(&args, ROUTE_FLAGS, ROUTE_SWITCHES).unwrap();
+            let local = build_config(&[], &flags).unwrap();
+
+            let request =
+                format!("POST /jobs{} HTTP/1.1\r\n\r\n", query_from_flags(&flags).unwrap());
+            let decoded = cds_serve::http::parse_request(&mut request.as_bytes(), 0).unwrap().query;
+            let mut remote = RouterConfig::default();
+            for (k, v) in &decoded {
+                remote.set_knob(k, v).unwrap_or_else(|e| panic!("{k}={v}: {e}"));
+            }
+            assert_eq!(format!("{local:?}"), format!("{remote:?}"), "{line}");
+            assert_ne!(format!("{local:?}"), format!("{:?}", RouterConfig::default()), "{line}");
+        }
     }
 }

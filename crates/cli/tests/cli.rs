@@ -209,6 +209,49 @@ fn bad_knobs_exit_2_naming_the_knob_instead_of_panicking() {
 }
 
 #[test]
+fn resume_across_incremental_modes_errors_or_works_but_never_panics() {
+    let doc = tmp("resume_modes.cdst");
+    run_ok(bin().args(["gen", "--preset", "small", "--nets", "15", "-o"]).arg(&doc));
+    let checkpointed = |incremental: &str, cp: &PathBuf| {
+        run_ok(
+            bin()
+                .arg("route")
+                .arg(&doc)
+                .args(["--iterations", "4", "--incremental", incremental])
+                .args(["--set", "checkpoint_every=2", "--checkpoint"])
+                .arg(cp),
+        )
+    };
+
+    // Regression: a full-reroute checkpoint carries no scheduler state;
+    // resuming it incrementally (the flag overrides the document's
+    // `config incremental false` record) died on a slice-length panic
+    // in the dirty tracker.
+    let cp_full = tmp("resume_modes_full.cdst");
+    let full = checkpointed("false", &cp_full);
+    let out = bin()
+        .arg("route")
+        .arg(&cp_full)
+        .args(["--resume", "--incremental", "true"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("written by an incremental=false run"), "{err}");
+    assert!(err.contains("--incremental false"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    // resumed in its own mode it lands on the uninterrupted checksum
+    let resumed = run_ok(bin().arg("route").arg(&cp_full).arg("--resume"));
+    assert_eq!(json_field(&resumed, "checksum"), json_field(&full, "checksum"));
+
+    // the mirror direction is well defined (the scheduler state is
+    // simply not read) and keeps working
+    let cp_inc = tmp("resume_modes_inc.cdst");
+    checkpointed("true", &cp_inc);
+    run_ok(bin().arg("route").arg(&cp_inc).args(["--resume", "--incremental", "false"]));
+}
+
+#[test]
 fn config_flags_apply_in_command_line_order() {
     // Regression: --set pairs used to apply after all dedicated flags
     // regardless of position, so a later dedicated flag could not

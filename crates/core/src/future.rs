@@ -3,13 +3,15 @@
 //!
 //! The paper lower-bounds connection/congestion costs with landmarks
 //! \[11\] and delays with "L1-distance and the fastest layer and wire
-//! type combination". Both are provided here, plus the trivial zero
-//! bound. To keep labels valid across iterations (terminals come and go
-//! as components merge), bounds target the *fixed* set of all initial
-//! terminal positions — a superset of any iteration's live targets, so
-//! the heuristic only gets weaker, never inadmissible.
+//! type combination". [`GridFutureCost`] applies the L1 form to both
+//! parts (the per-gcell cost and delay floors of the surface);
+//! [`NoFutureCost`] is the trivial zero bound. To keep labels valid
+//! across iterations (terminals come and go as components merge), bounds
+//! target the *fixed* set of all initial terminal positions — a superset
+//! of any iteration's live targets, so the heuristic only gets weaker,
+//! never inadmissible.
 
-use cds_graph::{GridGraph, RoutingSurface, VertexId};
+use cds_graph::{RoutingSurface, VertexId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -228,69 +230,6 @@ impl FutureCost for GridFutureCost {
     }
 }
 
-/// Landmark future costs after Goldberg & Harrelson \[11\]: exact
-/// congestion-cost distances from a few landmark vertices give the bound
-/// `max_ℓ |dist_ℓ(x) − dist_ℓ(p)|` for any target `p`; the delay part
-/// falls back to the planar L1 bound. Stronger than [`GridFutureCost`]
-/// when congestion makes base-cost bounds loose, at `O(k·|P|)` per query.
-pub struct LandmarkFutureCost<'a> {
-    grid: &'a GridGraph,
-    /// `dist[l][v]` = congestion-cost distance from landmark `l`.
-    dist: Vec<Vec<f64>>,
-    /// potential target positions (fixed for the whole run)
-    targets: Vec<VertexId>,
-    min_delay: f64,
-}
-
-impl<'a> LandmarkFutureCost<'a> {
-    /// Chooses `k` landmarks spread over the grid corners/edges and runs
-    /// one Dijkstra each under the supplied congestion costs.
-    pub fn new(grid: &'a GridGraph, cost: &[f64], targets: &[VertexId], k: usize) -> Self {
-        let spec = grid.spec();
-        let corners = [
-            grid.vertex(0, 0, 0),
-            grid.vertex(spec.nx - 1, 0, 0),
-            grid.vertex(0, spec.ny - 1, 0),
-            grid.vertex(spec.nx - 1, spec.ny - 1, 0),
-            grid.vertex(spec.nx / 2, 0, 0),
-            grid.vertex(0, spec.ny / 2, 0),
-        ];
-        let dist = corners
-            .iter()
-            .take(k.max(1).min(corners.len()))
-            .map(|&l| {
-                cds_graph::dijkstra::shortest_distances(grid.graph(), &[(l, 0.0)], |e| {
-                    cost[e as usize]
-                })
-            })
-            .collect();
-        LandmarkFutureCost {
-            grid,
-            dist,
-            targets: targets.to_vec(),
-            min_delay: grid.min_delay_per_gcell(),
-        }
-    }
-
-    fn cost_bound_pair(&self, x: VertexId, y: VertexId) -> f64 {
-        self.dist.iter().map(|d| (d[x as usize] - d[y as usize]).abs()).fold(0.0, f64::max)
-    }
-
-    fn delay_bound_pair(&self, x: VertexId, y: VertexId) -> f64 {
-        let (cx, cy) = (self.grid.coord(x), self.grid.coord(y));
-        cx.point().l1(cy.point()) as f64 * self.min_delay
-    }
-}
-
-impl FutureCost for LandmarkFutureCost<'_> {
-    fn bound_nearest(&self, x: VertexId, w: f64) -> f64 {
-        self.targets.iter().map(|&p| self.bound_to(x, p, w)).fold(f64::INFINITY, f64::min).max(0.0)
-    }
-    fn bound_to(&self, x: VertexId, y: VertexId, w: f64) -> f64 {
-        self.cost_bound_pair(x, y) + w * self.delay_bound_pair(x, y)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,28 +255,6 @@ mod tests {
                 fc.bound_nearest(v, w),
                 exact[v as usize]
             );
-        }
-    }
-
-    #[test]
-    fn landmark_bound_is_admissible() {
-        let grid = GridSpec::uniform(5, 5, 2).build();
-        // congest some edges to make base bounds loose
-        let mut c = grid.graph().base_costs();
-        for (e, cost) in c.iter_mut().enumerate() {
-            if e % 3 == 0 {
-                *cost *= 4.0;
-            }
-        }
-        let d = grid.graph().delays();
-        let targets = [grid.vertex(4, 4, 0)];
-        let fc = LandmarkFutureCost::new(&grid, &c, &targets, 4);
-        let w = 1.0;
-        let exact = shortest_distances(grid.graph(), &[(targets[0], 0.0)], |e| {
-            c[e as usize] + w * d[e as usize]
-        });
-        for v in 0..grid.graph().num_vertices() as u32 {
-            assert!(fc.bound_nearest(v, w) <= exact[v as usize] + 1e-9);
         }
     }
 

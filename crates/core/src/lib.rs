@@ -18,33 +18,20 @@
 //!
 //! # Examples
 //!
-//! One-off solves use the free function [`solve`]; hot loops hold a
-//! [`Solver`] session whose [`SolverWorkspace`] is cleared-and-reused
-//! across calls (bit-identical results either way — see the
+//! A [`Request`] is the instance; a [`Solver`] session answers it on a
+//! [`SolverWorkspace`] that is cleared-and-reused across calls (see the
 //! [`session`] module docs):
 //!
 //! ```
-//! use cds_core::{solve, Instance, Request, Solver, SolverOptions};
+//! use cds_core::{Request, Solver};
 //! use cds_graph::GridSpec;
-//! use cds_topo::BifurcationConfig;
 //!
 //! let grid = GridSpec::uniform(8, 8, 2).build();
 //! let (c, d) = (grid.graph().base_costs(), grid.graph().delays());
-//! let inst = Instance {
-//!     graph: grid.graph(),
-//!     cost: &c,
-//!     delay: &d,
-//!     root: grid.vertex(0, 0, 0),
-//!     sink_vertices: &[grid.vertex(7, 0, 0), grid.vertex(0, 7, 0)],
-//!     weights: &[2.0, 1.0],
-//!     bif: BifurcationConfig::ZERO,
-//! };
-//! let fresh = solve(&inst, &SolverOptions::default());
-//! fresh.tree.validate(grid.graph(), 2).unwrap();
-//!
-//! let mut solver = Solver::new(); // session: reusable workspace
-//! let reused = solver.solve(&Request::from_instance(&inst));
-//! assert_eq!(fresh.evaluation.total.to_bits(), reused.evaluation.total.to_bits());
+//! let sinks = [grid.vertex(7, 0, 0), grid.vertex(0, 7, 0)];
+//! let req = Request::new(grid.graph(), &c, &d, grid.vertex(0, 0, 0), &sinks, &[2.0, 1.0]);
+//! let result = Solver::new().solve(&req);
+//! result.tree.validate(grid.graph(), 2).unwrap();
 //! ```
 
 pub mod assemble;
@@ -56,11 +43,9 @@ pub mod solver;
 pub mod table;
 
 pub use assemble::{assemble_tree_in, assemble_tree_into, AssembleScratch};
-pub use future::{FutureCost, GridFutureCost, LandmarkFutureCost, NoFutureCost};
-pub use session::{Request, SessionConfig, Solver, SolverBuilder};
-pub use solver::{
-    solve, Instance, MergeEvent, SolveResult, SolveStats, SolverOptions, SolverWorkspace,
-};
+pub use future::{FutureCost, GridFutureCost, NoFutureCost};
+pub use session::{Request, SessionConfig, Solver};
+pub use solver::{MergeEvent, SolveResult, SolveStats, SolverWorkspace};
 pub use table::{VertexSet, VertexTable};
 
 #[cfg(test)]
@@ -75,22 +60,27 @@ mod tests {
         (grid.graph().base_costs(), grid.graph().delays())
     }
 
-    fn all_option_sets() -> Vec<SolverOptions<'static>> {
+    fn all_option_sets() -> Vec<SessionConfig> {
         let mut out = Vec::new();
         for discount in [false, true] {
             for better in [false, true] {
                 for encourage in [false, true] {
-                    out.push(SolverOptions {
+                    out.push(SessionConfig {
                         discount_components: discount,
                         better_steiner: better,
                         encourage_root: encourage,
                         seed: 7,
-                        ..SolverOptions::default()
+                        ..SessionConfig::DEFAULT
                     });
                 }
             }
         }
         out
+    }
+
+    /// One solve on a fresh workspace.
+    fn solve(config: &SessionConfig, req: &Request<'_>) -> SolveResult {
+        Solver::solve_with(config, &mut SolverWorkspace::new(), req)
     }
 
     #[test]
@@ -102,20 +92,14 @@ mod tests {
         let root = grid.vertex(0, 0, 0);
         let sink = grid.vertex(6, 5, 0);
         let w = 3.5;
-        let inst = Instance {
-            graph: grid.graph(),
-            cost: &c,
-            delay: &d,
-            root,
-            sink_vertices: &[sink],
-            weights: &[w],
-            bif: BifurcationConfig::new(10.0, 0.25),
-        };
+        let (sinks, weights) = ([sink], [w]);
+        let req = Request::new(grid.graph(), &c, &d, root, &sinks, &weights)
+            .with_bif(BifurcationConfig::new(10.0, 0.25));
         let sp = cds_graph::dijkstra::shortest_distances(grid.graph(), &[(sink, 0.0)], |e| {
             c[e as usize] + w * d[e as usize]
         });
         for opts in all_option_sets() {
-            let r = solve(&inst, &opts);
+            let r = solve(&opts, &req);
             r.tree.validate(grid.graph(), 1).unwrap();
             // no bifurcations for a single sink → no penalties
             assert_eq!(r.evaluation.bifurcations, 0);
@@ -133,16 +117,7 @@ mod tests {
         let grid = GridSpec::uniform(4, 4, 2).build();
         let (c, d) = uniform_env(&grid);
         let root = grid.vertex(2, 2, 0);
-        let inst = Instance {
-            graph: grid.graph(),
-            cost: &c,
-            delay: &d,
-            root,
-            sink_vertices: &[root],
-            weights: &[5.0],
-            bif: BifurcationConfig::ZERO,
-        };
-        let r = solve(&inst, &SolverOptions::default());
+        let r = Solver::new().solve(&Request::new(grid.graph(), &c, &d, root, &[root], &[5.0]));
         assert_eq!(r.evaluation.total, 0.0);
     }
 
@@ -154,18 +129,11 @@ mod tests {
         let root = grid.vertex(0, 0, 0);
         let sinks = [grid.vertex(9, 2, 0), grid.vertex(4, 9, 0), grid.vertex(9, 9, 0)];
         let weights = [1.0, 2.0, 0.5];
-        let inst = Instance {
-            graph: grid.graph(),
-            cost: &c,
-            delay: &d,
-            root,
-            sink_vertices: &sinks,
-            weights: &weights,
-            bif: BifurcationConfig::new(4.0, 0.25),
-        };
-        let plain = solve(&inst, &SolverOptions::default());
+        let req = Request::new(grid.graph(), &c, &d, root, &sinks, &weights)
+            .with_bif(BifurcationConfig::new(4.0, 0.25));
+        let plain = Solver::new().solve(&req);
         let fc = GridFutureCost::new(&grid, &[root, sinks[0], sinks[1], sinks[2]]);
-        let astar = solve(&inst, &SolverOptions::enhanced(&fc));
+        let astar = Solver::new().solve(&req.with_future(&fc));
         assert!(
             (plain.evaluation.total - astar.evaluation.total).abs() < 1e-6,
             "A* changed the objective: {} vs {}",
@@ -194,22 +162,15 @@ mod tests {
             grid.vertex(8, 8, 0),
             grid.vertex(4, 6, 0),
         ];
-        let inst = Instance {
-            graph: grid.graph(),
-            cost: &c,
-            delay: &d,
-            root,
-            sink_vertices: &sinks,
-            weights: &[1.0, 2.0, 3.0, 4.0],
-            bif: BifurcationConfig::new(2.0, 0.3),
-        };
+        let req = Request::new(grid.graph(), &c, &d, root, &sinks, &[1.0, 2.0, 3.0, 4.0])
+            .with_bif(BifurcationConfig::new(2.0, 0.3));
         for mut opts in all_option_sets() {
             opts.batch = true;
-            let batched = solve(&inst, &opts);
+            let batched = solve(&opts, &req);
             batched.tree.validate(grid.graph(), sinks.len()).unwrap();
             assert!(batched.evaluation.total.is_finite());
             opts.batch = false;
-            let plain = solve(&inst, &opts);
+            let plain = solve(&opts, &req);
             assert!(
                 batched.evaluation.total <= 2.0 * plain.evaluation.total + 1e-9,
                 "batched tree wildly off: {} vs {}",
@@ -227,16 +188,9 @@ mod tests {
         let grid = GridSpec::uniform(6, 6, 2).build();
         let (c, d) = uniform_env(&grid);
         let sinks = [grid.vertex(5, 0, 0), grid.vertex(0, 5, 0), grid.vertex(5, 5, 0)];
-        let inst = Instance {
-            graph: grid.graph(),
-            cost: &c,
-            delay: &d,
-            root: grid.vertex(0, 0, 0),
-            sink_vertices: &sinks,
-            weights: &[1.0, 1.0, 1.0],
-            bif: BifurcationConfig::ZERO,
-        };
-        let r = solve(&inst, &SolverOptions { record_trace: true, ..Default::default() });
+        let req =
+            Request::new(grid.graph(), &c, &d, grid.vertex(0, 0, 0), &sinks, &[1.0, 1.0, 1.0]);
+        let r = Solver::new().solve(&req.with_trace());
         assert_eq!(r.trace.len(), r.stats.merges);
         let sinksink = r.trace.iter().filter(|e| matches!(e, MergeEvent::SinkSink { .. })).count();
         let rootc = r.trace.iter().filter(|e| matches!(e, MergeEvent::RootConnect { .. })).count();
@@ -255,18 +209,12 @@ mod tests {
             grid.vertex(8, 8, 0),
             grid.vertex(4, 6, 0),
         ];
-        let inst = Instance {
-            graph: grid.graph(),
-            cost: &c,
-            delay: &d,
-            root: grid.vertex(0, 0, 0),
-            sink_vertices: &sinks,
-            weights: &[1.0, 2.0, 3.0, 4.0],
-            bif: BifurcationConfig::new(2.0, 0.3),
-        };
-        let opts = SolverOptions { seed: 123, ..Default::default() };
-        let a = solve(&inst, &opts);
-        let b = solve(&inst, &opts);
+        let req =
+            Request::new(grid.graph(), &c, &d, grid.vertex(0, 0, 0), &sinks, &[1.0, 2.0, 3.0, 4.0])
+                .with_bif(BifurcationConfig::new(2.0, 0.3))
+                .with_seed(123);
+        let a = solve(&SessionConfig::DEFAULT, &req);
+        let b = solve(&SessionConfig::DEFAULT, &req);
         assert_eq!(a.evaluation.total, b.evaluation.total);
         assert_eq!(a.stats, b.stats);
     }
@@ -289,19 +237,11 @@ mod tests {
             let sinks: Vec<u32> = seedpts.iter().map(|&(x, y)| grid.vertex(x, y, 0)).collect();
             let weights = &weights_raw[..sinks.len()];
             let bif = BifurcationConfig::new(dbif, 0.25);
-            let inst = Instance {
-                graph: grid.graph(),
-                cost: &c,
-                delay: &d,
-                root,
-                sink_vertices: &sinks,
-                weights,
-                bif,
-            };
+            let req = Request::new(grid.graph(), &c, &d, root, &sinks, weights).with_bif(bif);
             let env = cds_embed::EmbedEnv { graph: grid.graph(), cost: &c, delay: &d, bif };
             let (opt, _) = optimal_cost_distance(&env, root, &sinks, weights);
             for opts in all_option_sets() {
-                let r = solve(&inst, &opts);
+                let r = solve(&opts, &req);
                 r.tree.validate(grid.graph(), sinks.len()).unwrap();
                 // The §II base variant's *randomized* endpoint placement
                 // legitimately loses a constant factor on unlucky draws
@@ -335,18 +275,12 @@ mod tests {
             let root = grid.vertex(5, 5, 0);
             let sinks: Vec<u32> = seedpts.iter().map(|&(x, y)| grid.vertex(x, y, 0)).collect();
             let weights: Vec<f64> = (0..sinks.len()).map(|i| (i as f64 + 1.0) * 0.5).collect();
-            let inst = Instance {
-                graph: grid.graph(),
-                cost: &c,
-                delay: &d,
-                root,
-                sink_vertices: &sinks,
-                weights: &weights,
-                bif: BifurcationConfig::new(dbif, eta),
-            };
             let fc = GridFutureCost::new(&grid, &sinks);
-            let opts = SolverOptions { future: Some(&fc), seed, ..Default::default() };
-            let r = solve(&inst, &opts);
+            let req = Request::new(grid.graph(), &c, &d, root, &sinks, &weights)
+                .with_bif(BifurcationConfig::new(dbif, eta))
+                .with_future(&fc)
+                .with_seed(seed);
+            let r = Solver::new().solve(&req);
             r.tree.validate(grid.graph(), sinks.len()).unwrap();
             prop_assert!(r.evaluation.total.is_finite());
             prop_assert!(r.stats.merges >= sinks.len());

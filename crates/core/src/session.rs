@@ -3,21 +3,19 @@
 //!
 //! The paper's headline result (§IV) is that the cost-distance algorithm
 //! is fast enough to serve as the per-net oracle inside a Lagrangean
-//! rip-up-and-reroute loop — *millions* of solve calls over a chip. The
-//! free function [`solve`](crate::solve) pays for that workload with
-//! allocation churn: every call builds fresh hash tables, heaps, and
-//! candidate stores, only to drop them microseconds later.
+//! rip-up-and-reroute loop — *millions* of solve calls over a chip.
 //!
-//! A [`Solver`] is a session object that keeps all of those buffers in a
-//! [`SolverWorkspace`] and clears-and-reuses them call after call:
+//! A [`Solver`] is a session object that keeps every search structure
+//! (label slabs, the queue, candidate stores) in a [`SolverWorkspace`]
+//! and clears-and-reuses them call after call:
 //!
 //! ```
-//! use cds_core::{Request, Solver};
+//! use cds_core::{Request, SessionConfig, Solver};
 //! use cds_graph::GridSpec;
 //!
 //! let grid = GridSpec::uniform(8, 8, 2).build();
 //! let (c, d) = (grid.graph().base_costs(), grid.graph().delays());
-//! let mut solver = Solver::builder().seed(7).build();
+//! let mut solver = Solver::with_config(SessionConfig { seed: 7, ..SessionConfig::DEFAULT });
 //! for k in 1..6u32 {
 //!     let sinks = [grid.vertex(7, k % 8, 0), grid.vertex(k % 8, 7, 0)];
 //!     let req = Request::new(grid.graph(), &c, &d, grid.vertex(0, 0, 0), &sinks, &[1.0, 2.0]);
@@ -26,8 +24,8 @@
 //! }
 //! ```
 //!
-//! Results are specified to be **bit-identical** to fresh-per-call
-//! solving: a reused workspace only retains *capacity*, never state, and
+//! Results are specified to be **bit-identical** to solving on a fresh
+//! workspace: a reused one only retains *capacity*, never state, and
 //! the solver contains no iteration-order-sensitive reads of its hash
 //! tables. `tests/determinism.rs` pins that contract.
 //!
@@ -36,13 +34,13 @@
 //! `WorkerPool` does.
 
 use crate::future::FutureCost;
-use crate::solver::{solve_in, Instance, SolveResult, SolverOptions, SolverWorkspace};
+use crate::solver::{solve_forest_in, solve_in, SolveResult, SolveStats, SolverWorkspace};
 use cds_graph::{Graph, SteinerGraph, VertexId};
-use cds_topo::BifurcationConfig;
+use cds_topo::{BifurcationConfig, RoutedForest};
 
 /// Session-level solver configuration: the §III enhancement toggles and
-/// the default RNG seed. Unlike [`SolverOptions`] this is owned (no
-/// borrowed future cost), so a session can outlive any one request.
+/// the default RNG seed. Owned (the borrowed per-net inputs live in the
+/// [`Request`]), so a session can outlive any one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
     /// §III-A component discounting.
@@ -54,10 +52,13 @@ pub struct SessionConfig {
     /// Default seed for the randomized Steiner placement; a
     /// [`Request::seed`] overrides it per net.
     pub seed: u64,
-    /// Batched multi-sink search (see [`SolverOptions::batch`]): keeps
-    /// member searches alive across sink–sink merges instead of
-    /// restarting one labelling from each new Steiner terminal. Changes
-    /// which trees are found — off by default.
+    /// Batched multi-sink search: sink–sink merges keep the member
+    /// searches alive serving the merged component instead of retiring
+    /// both and restarting one labelling from the new Steiner terminal.
+    /// One labelling per original terminal then serves the whole solve;
+    /// root connections retire all member searches at once. Changes
+    /// which trees are found (fewer relabellings, same approximation
+    /// regime) — off by default to keep results pinned.
     pub batch: bool,
 }
 
@@ -72,8 +73,7 @@ impl SessionConfig {
     pub const DEFAULT_SEED: u64 = 0x5eed;
 
     /// All §III enhancements on — the single source of truth for the
-    /// defaults of [`SolverOptions`],
-    /// [`SolverBuilder`], and the router's `CdOracle` alike.
+    /// defaults of [`Solver::new`] and the router's `CdOracle` alike.
     pub const DEFAULT: SessionConfig = SessionConfig {
         discount_components: true,
         better_steiner: true,
@@ -90,81 +90,13 @@ impl SessionConfig {
         seed: Self::DEFAULT_SEED,
         batch: false,
     };
-
-    /// The plain Section-II algorithm (all enhancements off).
-    pub fn base() -> Self {
-        Self::BASE
-    }
 }
 
-/// Builder for [`Solver`] sessions.
-///
-/// ```
-/// use cds_core::Solver;
-/// let solver = Solver::builder()
-///     .discount_components(true)
-///     .better_steiner(true)
-///     .encourage_root(false)
-///     .seed(42)
-///     .build();
-/// assert_eq!(solver.config().seed, 42);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SolverBuilder {
-    config: SessionConfig,
-}
-
-impl SolverBuilder {
-    /// Starts from the default (fully enhanced) configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts from the plain Section-II configuration.
-    pub fn base() -> Self {
-        SolverBuilder { config: SessionConfig::base() }
-    }
-
-    /// Toggles §III-A component discounting.
-    pub fn discount_components(mut self, on: bool) -> Self {
-        self.config.discount_components = on;
-        self
-    }
-
-    /// Toggles §III-D Steiner re-embedding.
-    pub fn better_steiner(mut self, on: bool) -> Self {
-        self.config.better_steiner = on;
-        self
-    }
-
-    /// Toggles §III-E root-connection encouragement.
-    pub fn encourage_root(mut self, on: bool) -> Self {
-        self.config.encourage_root = on;
-        self
-    }
-
-    /// Sets the session's default RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Toggles batched multi-sink search.
-    pub fn batch(mut self, on: bool) -> Self {
-        self.config.batch = on;
-        self
-    }
-
-    /// Finishes the session. The workspace starts empty and grows to the
-    /// session's largest instance, then stays warm.
-    pub fn build(self) -> Solver {
-        Solver { config: self.config, ws: SolverWorkspace::new() }
-    }
-}
-
-/// One cost-distance request: an [`Instance`] plus the per-net options
-/// (future cost, seed override, tracing) that used to live in
-/// [`SolverOptions`].
+/// One cost-distance request: the instance of paper Eq. (1) + (3) —
+/// graph, `c`, `d`, root, weighted sinks, `d_bif` — plus the per-net
+/// options (future cost, seed override, tracing). Cost/delay slices are
+/// indexed by edge id and must cover
+/// [`edge_bound`](SteinerGraph::edge_bound).
 ///
 /// Requests are cheap to build — all heavy state lives in the
 /// [`Solver`]'s workspace. The graph travels with the request (not the
@@ -184,7 +116,8 @@ pub struct Request<'a, G: ?Sized = Graph> {
     pub root: VertexId,
     /// Sink vertices.
     pub sinks: &'a [VertexId],
-    /// Sink delay weights `w(s)`.
+    /// Sink delay weights `w(s)` (from Lagrangean relaxation in the
+    /// router; any non-negative values standalone).
     pub weights: &'a [f64],
     /// Bifurcation penalty configuration.
     pub bif: BifurcationConfig,
@@ -198,9 +131,10 @@ pub struct Request<'a, G: ?Sized = Graph> {
     /// Record the per-merge trace.
     pub record_trace: bool,
     /// Key granularity hint for the bucket queue (minimum positive edge
-    /// cost of the surface). Windowed callers should set it: the
-    /// fallback scans the request's cost slice, which spans the whole
-    /// chip for a [`WindowView`](cds_graph::WindowView).
+    /// cost of the surface). Any positive finite value is correct;
+    /// windowed callers should set it: the fallback scans the request's
+    /// cost slice, which spans the whole chip for a
+    /// [`WindowView`](cds_graph::WindowView).
     pub quantum: Option<f64>,
 }
 
@@ -253,23 +187,6 @@ impl<'a, G: ?Sized> Request<'a, G> {
         }
     }
 
-    /// The same net as `inst`, as a request.
-    pub fn from_instance(inst: &Instance<'a, G>) -> Self {
-        Request {
-            graph: inst.graph,
-            cost: inst.cost,
-            delay: inst.delay,
-            root: inst.root,
-            sinks: inst.sink_vertices,
-            weights: inst.weights,
-            bif: inst.bif,
-            future: None,
-            seed: None,
-            record_trace: false,
-            quantum: None,
-        }
-    }
-
     /// Sets the bifurcation penalty configuration.
     pub fn with_bif(mut self, bif: BifurcationConfig) -> Self {
         self.bif = bif;
@@ -300,26 +217,13 @@ impl<'a, G: ?Sized> Request<'a, G> {
         self.record_trace = true;
         self
     }
-
-    /// The equivalent [`Instance`] view of this request.
-    pub fn instance(&self) -> Instance<'a, G> {
-        Instance {
-            graph: self.graph,
-            cost: self.cost,
-            delay: self.delay,
-            root: self.root,
-            sink_vertices: self.sinks,
-            weights: self.weights,
-            bif: self.bif,
-        }
-    }
 }
 
 /// A solver session: configuration plus a reusable [`SolverWorkspace`].
 ///
 /// See the [module docs](self) for the motivation and the determinism
-/// contract. Construct with [`Solver::builder`] (or [`Solver::new`] for
-/// defaults); solve with [`solve`](Solver::solve).
+/// contract. Construct with [`Solver::with_config`] (or [`Solver::new`]
+/// for defaults); solve with [`solve`](Solver::solve).
 #[derive(Debug, Default)]
 pub struct Solver {
     config: SessionConfig,
@@ -330,11 +234,6 @@ impl Solver {
     /// A session with the default (fully enhanced) configuration.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Starts building a session.
-    pub fn builder() -> SolverBuilder {
-        SolverBuilder::new()
     }
 
     /// A session with an explicit configuration.
@@ -352,24 +251,12 @@ impl Solver {
         self.ws.solves()
     }
 
-    /// Resolves the effective [`SolverOptions`] for one request.
-    fn options<'a, G: ?Sized>(config: &SessionConfig, req: &Request<'a, G>) -> SolverOptions<'a> {
-        SolverOptions {
-            future: req.future,
-            seed: req.seed.unwrap_or(config.seed),
-            record_trace: req.record_trace,
-            quantum: req.quantum,
-            ..SolverOptions::from_session(*config)
-        }
-    }
-
     /// Solves one request, reusing the session workspace.
     ///
     /// # Panics
     ///
     /// Panics on malformed requests (no sinks, mismatched slice lengths,
-    /// negative weights) or disconnected instances, exactly like
-    /// [`solve`](crate::solve).
+    /// negative weights) or disconnected instances.
     pub fn solve<G: SteinerGraph + ?Sized>(&mut self, req: &Request<'_, G>) -> SolveResult {
         Self::solve_with(&self.config, &mut self.ws, req)
     }
@@ -382,13 +269,11 @@ impl Solver {
         ws: &mut SolverWorkspace,
         req: &Request<'_, G>,
     ) -> SolveResult {
-        let inst = req.instance();
-        let opts = Self::options(config, req);
-        solve_in(ws, &inst, &opts)
+        solve_in(ws, config, req)
     }
 
     /// Solves one request with the tree assembled straight into a
-    /// [`RoutedForest`](cds_topo::RoutedForest) slot — the arena path:
+    /// [`RoutedForest`] slot — the arena path:
     /// no owned tree, no evaluation (evaluate through the slot's
     /// [`TreeView`](cds_topo::TreeView); results are bit-identical to
     /// [`solve_with`](Self::solve_with)). Returns the work counters.
@@ -401,19 +286,16 @@ impl Solver {
         config: &SessionConfig,
         ws: &mut SolverWorkspace,
         req: &Request<'_, G>,
-        forest: &mut cds_topo::RoutedForest,
+        forest: &mut RoutedForest,
         slot: usize,
-    ) -> crate::SolveStats {
-        let inst = req.instance();
-        let opts = Self::options(config, req);
-        crate::solver::solve_forest_in(ws, &inst, &opts, forest, slot)
+    ) -> SolveStats {
+        solve_forest_in(ws, config, req, forest, slot)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::solve;
     use cds_graph::GridSpec;
 
     fn trees_equal(a: &SolveResult, b: &SolveResult) -> bool {
@@ -423,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_free_function() {
+    fn reused_workspace_matches_a_fresh_one() {
         let grid = GridSpec::uniform(9, 9, 2).build();
         let (c, d) = (grid.graph().base_costs(), grid.graph().delays());
         let sinks = [grid.vertex(8, 1, 0), grid.vertex(1, 8, 0), grid.vertex(8, 8, 0)];
@@ -431,7 +313,7 @@ mod tests {
         let req = Request::new(grid.graph(), &c, &d, grid.vertex(0, 0, 0), &sinks, &weights)
             .with_bif(BifurcationConfig::new(3.0, 0.25));
         let mut solver = Solver::new();
-        let fresh = solve(&req.instance(), &SolverOptions::default());
+        let fresh = Solver::solve_with(&SessionConfig::DEFAULT, &mut SolverWorkspace::new(), &req);
         for _ in 0..5 {
             let reused = solver.solve(&req);
             assert!(trees_equal(&fresh, &reused), "reuse must not change results");
@@ -440,13 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_presets_match_legacy_options() {
-        let base = SolverBuilder::base().build();
-        assert!(!base.config().discount_components);
-        assert!(!base.config().better_steiner);
-        assert!(!base.config().encourage_root);
-        let full = Solver::builder().seed(9).build();
-        assert!(full.config().discount_components);
-        assert_eq!(full.config().seed, 9);
+    fn presets_toggle_the_three_enhancements() {
+        for (config, on) in [(SessionConfig::BASE, false), (SessionConfig::DEFAULT, true)] {
+            assert_eq!(config.discount_components, on);
+            assert_eq!(config.better_steiner, on);
+            assert_eq!(config.encourage_root, on);
+        }
+        assert_eq!(*Solver::new().config(), SessionConfig::DEFAULT);
     }
 }

@@ -12,28 +12,29 @@
 //! search starts from it. Root connections retire their sink instead.
 //!
 //! The solver is generic over [`SteinerGraph`], so the same code routes
-//! a whole [`Graph`] and a zero-copy
+//! a whole [`Graph`](cds_graph::Graph) and a zero-copy
 //! [`WindowView`](cds_graph::WindowView) of the global grid. All
 //! per-solve state lives in dense, epoch-stamped [`VertexTable`]
 //! slabs pooled by the [`SolverWorkspace`]: clearing is an epoch bump,
 //! and a warm workspace solves without touching the allocator.
 //!
-//! Enhancements (all individually toggleable in [`SolverOptions`]):
+//! Enhancements (all individually toggleable in [`SessionConfig`]):
 //! §III-A component reuse (searches are seeded with the whole component
 //! at delay-true offsets, so tree edges cost no connection charge),
 //! §III-B simultaneous label queue (always on), §III-C A* future
 //! costs, §III-D Steiner re-embedding, §III-E root-connection
 //! encouragement.
 
-use crate::assemble::{assemble_tree_in, AssembleScratch};
+use crate::assemble::{assemble_tree_in, assemble_tree_into, AssembleScratch};
 use crate::components::{CompScratch, Component, Dsu, TerminalId};
 use crate::future::{FutureCost, GridFutureCost, NoFutureCost};
 use crate::search::{Label, Search};
+use crate::session::{Request, SessionConfig};
 use crate::table::VertexTable;
-use cds_graph::{EdgeId, Graph, SteinerGraph, VertexId};
+use cds_graph::{EdgeId, SteinerGraph, VertexId};
 use cds_heap::{BucketQueue, OrderedF64};
 use cds_topo::penalty::beta;
-use cds_topo::{BifurcationConfig, EmbeddedTree, Evaluation};
+use cds_topo::{EmbeddedTree, Evaluation, RoutedForest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -41,134 +42,6 @@ use std::collections::BinaryHeap;
 
 /// Sentinel for "no entry" in the intrusive per-vertex slot lists.
 const NO_LINK: u32 = u32::MAX;
-
-/// A cost-distance Steiner tree instance (paper Eq. (1) + (3)).
-///
-/// Generic over the graph backend: `G` defaults to the CSR
-/// [`Graph`], and the router instantiates it with the zero-copy
-/// [`WindowView`](cds_graph::WindowView) (through `dyn
-/// RoutingSurface`). Cost/delay slices are indexed by edge id and must
-/// cover [`edge_bound`](SteinerGraph::edge_bound).
-pub struct Instance<'a, G: ?Sized = Graph> {
-    /// The routing graph backend.
-    pub graph: &'a G,
-    /// Congestion cost `c(e)` per edge.
-    pub cost: &'a [f64],
-    /// Delay `d(e)` per edge.
-    pub delay: &'a [f64],
-    /// The net's root (source) vertex `π(r)`.
-    pub root: VertexId,
-    /// Sink positions `π(s)`.
-    pub sink_vertices: &'a [VertexId],
-    /// Sink delay weights `w(s)` (from Lagrangean relaxation in the
-    /// router; any non-negative values standalone).
-    pub weights: &'a [f64],
-    /// Bifurcation penalty configuration (`d_bif`, `η`).
-    pub bif: BifurcationConfig,
-}
-
-impl<G: ?Sized> Clone for Instance<'_, G> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<G: ?Sized> Copy for Instance<'_, G> {}
-
-impl<G: ?Sized> std::fmt::Debug for Instance<'_, G> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Instance")
-            .field("root", &self.root)
-            .field("sink_vertices", &self.sink_vertices)
-            .field("weights", &self.weights)
-            .field("bif", &self.bif)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Toggles for the practical enhancements of §III.
-#[derive(Clone, Copy)]
-pub struct SolverOptions<'a> {
-    /// §III-A: discount existing tree components (reuse tree edges free
-    /// of connection cost; searches start from whole components).
-    pub discount_components: bool,
-    /// §III-C: goal-oriented search with this future cost. `None` means
-    /// plain Dijkstra.
-    pub future: Option<&'a dyn FutureCost>,
-    /// §III-D: re-embed the new Steiner vertex on the found path instead
-    /// of picking a random endpoint.
-    pub better_steiner: bool,
-    /// §III-E: subtract the guaranteed future saving `η·d_bif·w(u)` from
-    /// root connection penalties.
-    pub encourage_root: bool,
-    /// RNG seed for the randomized Steiner placement.
-    pub seed: u64,
-    /// Record a per-merge trace (for the Fig. 3 reproduction).
-    pub record_trace: bool,
-    /// Key granularity hint for the bucket queue (the minimum
-    /// positive edge cost of the surface). Any positive finite value is
-    /// correct; `None` scans the instance's cost slice, which windowed
-    /// callers should avoid by passing the surface-wide minimum.
-    pub quantum: Option<f64>,
-    /// Batched multi-sink search: sink–sink merges keep the member
-    /// searches alive serving the merged component instead of retiring
-    /// both and restarting one labelling from the new Steiner terminal.
-    /// One labelling per original terminal then serves the whole solve;
-    /// root connections retire all member searches at once. Changes
-    /// which trees are found (fewer relabellings, same approximation
-    /// regime) — off by default to keep results pinned.
-    pub batch: bool,
-}
-
-impl std::fmt::Debug for SolverOptions<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SolverOptions")
-            .field("discount_components", &self.discount_components)
-            .field("future", &self.future.is_some())
-            .field("better_steiner", &self.better_steiner)
-            .field("encourage_root", &self.encourage_root)
-            .field("seed", &self.seed)
-            .field("record_trace", &self.record_trace)
-            .field("quantum", &self.quantum)
-            .field("batch", &self.batch)
-            .finish()
-    }
-}
-
-impl Default for SolverOptions<'_> {
-    fn default() -> Self {
-        Self::from_session(crate::SessionConfig::DEFAULT)
-    }
-}
-
-impl<'a> SolverOptions<'a> {
-    /// The toggles of a session config, with no future cost or tracing
-    /// — the one conversion point that keeps the compat path and the
-    /// session path agreeing on defaults.
-    pub fn from_session(config: crate::SessionConfig) -> Self {
-        SolverOptions {
-            discount_components: config.discount_components,
-            future: None,
-            better_steiner: config.better_steiner,
-            encourage_root: config.encourage_root,
-            seed: config.seed,
-            record_trace: false,
-            quantum: None,
-            batch: config.batch,
-        }
-    }
-
-    /// The plain Section-II algorithm: no enhancements, matching the
-    /// theoretical analysis.
-    pub fn base() -> Self {
-        Self::from_session(crate::SessionConfig::BASE)
-    }
-
-    /// All enhancements on, with the given future cost (§III-C).
-    pub fn enhanced(future: &'a dyn FutureCost) -> Self {
-        SolverOptions { future: Some(future), ..SolverOptions::default() }
-    }
-}
 
 /// One merge of the run (the Fig. 3 trace).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,7 +113,7 @@ impl SolveStats {
     }
 }
 
-/// Everything `solve` returns.
+/// Everything a [`Solver::solve`](crate::Solver::solve) call returns.
 #[derive(Debug, Clone)]
 pub struct SolveResult {
     /// The embedded Steiner tree.
@@ -253,48 +126,27 @@ pub struct SolveResult {
     pub trace: Vec<MergeEvent>,
 }
 
-/// Runs the cost-distance algorithm on `inst` with a throwaway
-/// workspace.
-///
-/// This is the compatibility entry point: one-off solves and code
-/// predating the session API. Hot loops should hold a
-/// [`Solver`](crate::Solver) session (or a [`SolverWorkspace`] of their
-/// own) and reuse it — results are specified to be bit-identical either
-/// way.
-///
-/// # Panics
-///
-/// Panics if the instance has no sinks, mismatched slices, negative
-/// weights, or if some sink is disconnected from the rest of the graph.
-pub fn solve<G: SteinerGraph + ?Sized>(
-    inst: &Instance<'_, G>,
-    opts: &SolverOptions<'_>,
-) -> SolveResult {
-    let mut ws = SolverWorkspace::new();
-    solve_in(&mut ws, inst, opts)
-}
-
-/// Runs the cost-distance algorithm on `inst` against a caller-owned
+/// Runs the cost-distance algorithm on `req` against a caller-owned
 /// workspace, clearing (not reallocating) whatever the workspace held.
 ///
 /// # Panics
 ///
-/// Same contract as [`solve`].
+/// Panics if the request has no sinks, mismatched slices, negative
+/// weights, or if some sink is disconnected from the rest of the graph.
 pub(crate) fn solve_in<G: SteinerGraph + ?Sized>(
     ws: &mut SolverWorkspace,
-    inst: &Instance<'_, G>,
-    opts: &SolverOptions<'_>,
+    config: &SessionConfig,
+    req: &Request<'_, G>,
 ) -> SolveResult {
-    let (comp, stats, trace) = solve_core(ws, inst, opts);
-    let tree =
-        assemble_tree_in(&mut ws.assemble, inst.graph, inst.root, inst.sink_vertices, &comp.edges);
+    let (comp, stats, trace) = solve_core(ws, config, req);
+    let tree = assemble_tree_in(&mut ws.assemble, req.graph, req.root, req.sinks, &comp.edges);
     ws.free_component(comp);
     debug_assert_eq!(
-        tree.validate(inst.graph, inst.sink_vertices.len()),
+        tree.validate(req.graph, req.sinks.len()),
         Ok(()),
         "assembled tree must be valid"
     );
-    let evaluation = tree.evaluate(inst.cost, inst.delay, inst.weights, &inst.bif);
+    let evaluation = tree.evaluate(req.cost, req.delay, req.weights, &req.bif);
     SolveResult { tree, evaluation, stats, trace }
 }
 
@@ -307,72 +159,62 @@ pub(crate) fn solve_in<G: SteinerGraph + ?Sized>(
 ///
 /// # Panics
 ///
-/// Same contract as [`solve`].
+/// Same contract as [`solve_in`].
 pub(crate) fn solve_forest_in<G: SteinerGraph + ?Sized>(
     ws: &mut SolverWorkspace,
-    inst: &Instance<'_, G>,
-    opts: &SolverOptions<'_>,
-    forest: &mut cds_topo::RoutedForest,
+    config: &SessionConfig,
+    req: &Request<'_, G>,
+    forest: &mut RoutedForest,
     slot: usize,
 ) -> SolveStats {
-    let (comp, stats, _trace) = solve_core(ws, inst, opts);
-    crate::assemble::assemble_tree_into(
-        &mut ws.assemble,
-        inst.graph,
-        inst.root,
-        inst.sink_vertices,
-        &comp.edges,
-        forest,
-        slot,
-    );
+    let (comp, stats, _trace) = solve_core(ws, config, req);
+    assemble_tree_into(&mut ws.assemble, req.graph, req.root, req.sinks, &comp.edges, forest, slot);
     ws.free_component(comp);
     debug_assert_eq!(
-        forest.view(slot).validate(inst.graph, inst.sink_vertices.len()),
+        forest.view(slot).validate(req.graph, req.sinks.len()),
         Ok(()),
         "assembled tree must be valid"
     );
     stats
 }
 
-/// The shared front of both solve paths: validates the instance, runs
+/// The shared front of both solve paths: validates the request, runs
 /// the merge loop to completion, and hands back the root component's
 /// edge set (the tree-to-be) with the work counters and optional trace.
 fn solve_core<G: SteinerGraph + ?Sized>(
     ws: &mut SolverWorkspace,
-    inst: &Instance<'_, G>,
-    opts: &SolverOptions<'_>,
+    config: &SessionConfig,
+    req: &Request<'_, G>,
 ) -> (Component, SolveStats, Vec<MergeEvent>) {
-    assert!(!inst.sink_vertices.is_empty(), "a net needs at least one sink");
-    assert_eq!(inst.sink_vertices.len(), inst.weights.len(), "one weight per sink");
-    assert!(inst.weights.iter().all(|&w| w >= 0.0), "negative delay weight");
-    assert!(inst.cost.len() >= inst.graph.edge_bound(), "cost slice must cover all edge ids");
-    assert!(inst.delay.len() >= inst.graph.edge_bound(), "delay slice must cover all edge ids");
+    assert!(!req.sinks.is_empty(), "a net needs at least one sink");
+    assert_eq!(req.sinks.len(), req.weights.len(), "one weight per sink");
+    assert!(req.weights.iter().all(|&w| w >= 0.0), "negative delay weight");
+    assert!(req.cost.len() >= req.graph.edge_bound(), "cost slice must cover all edge ids");
+    assert!(req.delay.len() >= req.graph.edge_bound(), "delay slice must cover all edge ids");
     ws.reset();
     ws.solves += 1;
     // The queue is moved out of the workspace for the duration of the
     // merge loop: the solver then holds it as a *separate* borrow from
     // the workspace, which lets the expansion hot loop keep one search
     // borrowed across all its neighbor relaxations while pushing labels.
-    let quantum = opts
-        .quantum
-        .filter(|q| q.is_finite() && *q > 0.0)
-        .unwrap_or_else(|| min_positive_cost(inst));
+    let quantum =
+        req.quantum.filter(|q| q.is_finite() && *q > 0.0).unwrap_or_else(|| min_positive_cost(req));
     let mut queue = std::mem::take(&mut ws.bucket);
     queue.begin_solve(quantum);
-    let mut out = run_merge_loop(ws, inst, opts, &mut queue);
+    let mut out = run_merge_loop(ws, config, req, &mut queue);
     out.1.bucket_scans = queue.scans();
     ws.bucket = queue;
     out
 }
 
 /// The bucket-queue quantum fallback: the minimum positive congestion
-/// cost of the instance. Any positive finite value keeps the queue
+/// cost of the request. Any positive finite value keeps the queue
 /// exact, so delays are ignored (`w·d` only adds to edge lengths).
-/// Windowed surfaces should pass [`SolverOptions::quantum`] instead —
-/// their cost slices span the whole chip.
-fn min_positive_cost<G: SteinerGraph + ?Sized>(inst: &Instance<'_, G>) -> f64 {
+/// Windowed surfaces should pass [`Request::quantum`] instead — their
+/// cost slices span the whole chip.
+fn min_positive_cost<G: SteinerGraph + ?Sized>(req: &Request<'_, G>) -> f64 {
     let mut q = f64::INFINITY;
-    for &c in &inst.cost[..inst.graph.edge_bound()] {
+    for &c in &req.cost[..req.graph.edge_bound()] {
         if c > 0.0 && c < q {
             q = c;
         }
@@ -388,11 +230,11 @@ fn min_positive_cost<G: SteinerGraph + ?Sized>(inst: &Instance<'_, G>) -> f64 {
 /// second mutable borrow next to the workspace).
 fn run_merge_loop<G: SteinerGraph + ?Sized>(
     ws: &mut SolverWorkspace,
-    inst: &Instance<'_, G>,
-    opts: &SolverOptions<'_>,
+    config: &SessionConfig,
+    req: &Request<'_, G>,
     queue: &mut BucketQueue,
 ) -> (Component, SolveStats, Vec<MergeEvent>) {
-    let mut state = State::new(inst, opts, ws, queue);
+    let mut state = State::new(config, req, ws, queue);
     while state.active_count > 0 {
         let cand = state.run_until_candidate();
         state.commit(cand);
@@ -593,9 +435,9 @@ impl SolverWorkspace {
     }
 }
 
-struct State<'w, 'a, 'b, G: ?Sized> {
-    inst: &'a Instance<'a, G>,
-    opts: &'a SolverOptions<'b>,
+struct State<'w, 'a, 'r, G: ?Sized> {
+    config: &'a SessionConfig,
+    req: &'a Request<'r, G>,
     ws: &'w mut SolverWorkspace,
     queue: &'w mut BucketQueue,
     root_slot: TerminalId,
@@ -617,29 +459,29 @@ struct State<'w, 'a, 'b, G: ?Sized> {
     cand_cache: Option<Option<(f64, usize)>>,
 }
 
-impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
+impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
     fn new(
-        inst: &'a Instance<'a, G>,
-        opts: &'a SolverOptions<'b>,
+        config: &'a SessionConfig,
+        req: &'a Request<'r, G>,
         ws: &'w mut SolverWorkspace,
         queue: &'w mut BucketQueue,
     ) -> Self {
         let mut state = State {
-            inst,
-            opts,
+            config,
+            req,
             ws,
             queue,
             root_slot: 0,
             active_count: 0,
             total_active_weight: 0.0,
-            rng: StdRng::seed_from_u64(opts.seed),
+            rng: StdRng::seed_from_u64(req.seed.unwrap_or(config.seed)),
             stats: SolveStats::default(),
             trace: Vec::new(),
             no_future: NoFutureCost,
             cand_cache: None,
         };
         // sink terminals
-        for (i, (&v, &w)) in inst.sink_vertices.iter().zip(inst.weights).enumerate() {
+        for (i, (&v, &w)) in req.sinks.iter().zip(req.weights).enumerate() {
             let slot = state.ws.dsu.push();
             debug_assert_eq!(slot, i);
             let comp = state.ws.alloc_component(v, &[(v, w)]);
@@ -657,24 +499,24 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
         // root terminal
         let root_slot = state.ws.dsu.push();
         state.root_slot = root_slot;
-        let root_comp = state.ws.alloc_component(inst.root, &[]);
+        let root_comp = state.ws.alloc_component(req.root, &[]);
         state.ws.terminals.push(Terminal {
-            vertex: inst.root,
+            vertex: req.root,
             weight: 0.0,
             alive: true,
             comp: Some(root_comp),
             sid: None,
         });
-        state.ws.push_slot(inst.root, root_slot);
+        state.ws.push_slot(req.root, root_slot);
         // start one search per sink
-        for i in 0..inst.sink_vertices.len() {
+        for i in 0..req.sinks.len() {
             state.start_search(i);
         }
         state
     }
 
     fn future(&self) -> &dyn FutureCost {
-        self.opts.future.unwrap_or(&self.no_future)
+        self.req.future.unwrap_or(&self.no_future)
     }
 
     /// `b(u, v)` of Eq. (5) for a candidate, under the *current* weights.
@@ -695,14 +537,14 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
         if target_rep == self.ws.dsu.find(self.root_slot) {
             let rest = (self.total_active_weight - w_u).max(0.0);
             let down = self.ws.root_downstream.get_or(via, 0.0);
-            let mut b = beta(w_u, rest, &self.inst.bif).max(beta(w_u, down, &self.inst.bif));
-            if self.opts.encourage_root {
+            let mut b = beta(w_u, rest, &self.req.bif).max(beta(w_u, down, &self.req.bif));
+            if self.config.encourage_root {
                 // §III-E: connecting now saves at least η·d_bif·w(u) later
-                b -= self.inst.bif.eta * self.inst.bif.dbif * w_u;
+                b -= self.req.bif.eta * self.req.bif.dbif * w_u;
             }
             b.max(0.0)
         } else {
-            beta(w_u, self.ws.terminals[target_rep].weight, &self.inst.bif)
+            beta(w_u, self.ws.terminals[target_rep].weight, &self.req.bif)
         }
     }
 
@@ -730,16 +572,16 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
             let mut cs = std::mem::take(&mut self.ws.comp_scratch);
             // INVARIANT: rep is a DSU representative with an active search, and components live at representatives until extracted by a merge.
             let comp = self.ws.terminals[rep].comp.as_ref().expect("live component");
-            if self.opts.discount_components && !comp.edges.is_empty() {
+            if self.config.discount_components && !comp.edges.is_empty() {
                 // raw tree delays from the terminal position, for §III-D
-                comp.tree_delays_into(self.inst.graph, self.inst.delay, t_vertex, &mut cs);
+                comp.tree_delays_into(self.req.graph, self.req.delay, t_vertex, &mut cs);
                 for &v in comp.vertices() {
                     if let Some(raw) = cs.delay.get(v) {
                         search.seed_raw_delay.insert(v, raw);
                     }
                 }
                 // the adjacency built by tree_delays_into is still valid
-                comp.weighted_exit_delay_prebuilt(self.inst.delay, &mut cs);
+                comp.weighted_exit_delay_prebuilt(self.req.delay, &mut cs);
                 seeds.extend(comp.vertices().iter().map(|&v| (v, cs.exit.get_or(v, 0.0))));
             } else {
                 // a single-vertex component seeds only its own position
@@ -886,12 +728,12 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
         // §III-A: foreign tree vertices terminate the path — the
         // connection happens here, so tunnelling through is pointless
         // and would corrupt component disjointness.
-        if arrived_foreign && self.opts.discount_components {
+        if arrived_foreign && self.config.discount_components {
             return;
         }
 
         // relax neighbours with l_u = c + w·d
-        let graph = self.inst.graph;
+        let graph = self.req.graph;
         let mut nbrs = std::mem::take(&mut self.ws.nbrs);
         graph.neighbors_into(x, &mut nbrs);
         // Resolve the future cost once per settled vertex: `None`
@@ -903,15 +745,15 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
             Grid(&'f GridFutureCost),
             Dyn(&'f dyn FutureCost),
         }
-        let fut = match self.opts.future {
+        let fut = match self.req.future {
             None => Fut::None,
             Some(f) => match f.as_grid() {
                 Some(grid) => Fut::Grid(grid),
                 None => Fut::Dyn(f),
             },
         };
-        let cost = self.inst.cost;
-        let delay = self.inst.delay;
+        let cost = self.req.cost;
+        let delay = self.req.delay;
         #[cfg(target_arch = "x86_64")]
         // The CSR arc span is contiguous but the per-edge cost/delay
         // reads it induces are scattered; issue the loads for the whole
@@ -922,7 +764,7 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
         // the pointer were dangling. The pointers here are in-bounds
         // anyway: every edge id in `nbrs` comes from the instance
         // graph, and `cost`/`delay` are per-edge slices of that graph
-        // (`Instance` construction asserts their lengths), so
+        // (`solve_core` asserts their lengths), so
         // `as_ptr().add(e)` stays within the allocations.
         unsafe {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -980,7 +822,7 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
         let mut path = std::mem::take(&mut self.ws.path_scratch);
         let mut path_vertices = std::mem::take(&mut self.ws.pathv_scratch);
         let seed = search.extract_path_into(cand.via, &mut path);
-        search.path_vertices_into(self.inst.graph, &path, seed, &mut path_vertices);
+        search.path_vertices_into(self.req.graph, &path, seed, &mut path_vertices);
         // raw (unweighted) tree delay from π(u) to the path's seed — the
         // §III-D re-embedding needs it after the search is retired
         let seed_raw_u = search.seed_raw_delay.get_or(seed, 0.0);
@@ -991,7 +833,7 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
 
         let u_rep = self.ws.dsu.find(u);
         let is_root = target_rep == self.ws.dsu.find(self.root_slot);
-        if !self.opts.batch {
+        if !self.config.batch {
             // retire u's search (its label slabs go back to the pool)
             self.queue.remove_search(sid);
             self.ws.free_search(sid);
@@ -1006,10 +848,10 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
         if is_root {
             // root connection: the root component absorbs u's component
             let mut comp = comp_t;
-            comp.absorb(&mut comp_u, &path, self.inst.graph);
+            comp.absorb(&mut comp_u, &path, self.req.graph);
             self.ws.free_component(comp_u);
             let retired_weight = self.ws.terminals[u_rep].weight;
-            if self.opts.batch {
+            if self.config.batch {
                 // batched search: the whole component connects at once —
                 // every member search still labelling for it retires now
                 for slot in 0..self.ws.terminals.len() {
@@ -1032,12 +874,12 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
             {
                 let mut cs = std::mem::take(&mut self.ws.comp_scratch);
                 let mut down = std::mem::take(&mut self.ws.root_downstream);
-                comp.downstream_weights_into(self.inst.graph, self.inst.root, &mut down, &mut cs);
+                comp.downstream_weights_into(self.req.graph, self.req.root, &mut down, &mut cs);
                 self.ws.root_downstream = down;
                 self.ws.comp_scratch = cs;
             }
             self.ws.terminals[self.root_slot].comp = Some(comp);
-            if self.opts.record_trace {
+            if self.req.record_trace {
                 self.trace.push(MergeEvent::RootConnect {
                     iteration,
                     u_vertex: self.ws.terminals[u].vertex,
@@ -1061,9 +903,9 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
             );
             let s = self.ws.dsu.push();
             let mut comp = comp_u;
-            comp.absorb(&mut comp_t, &path, self.inst.graph);
+            comp.absorb(&mut comp_t, &path, self.req.graph);
             self.ws.free_component(comp_t);
-            if !self.opts.batch {
+            if !self.config.batch {
                 self.ws.terminals[u].alive = false;
                 self.ws.terminals[v_slot].alive = false;
                 if let Some(vsid) = self.ws.terminals[v_slot].sid.take() {
@@ -1085,7 +927,7 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
             self.ws.dsu.union_into(u_rep, v_slot, s);
             self.active_count -= 1; // two components die, one is born
             self.ws.push_slot(pos, s);
-            if self.opts.record_trace {
+            if self.req.record_trace {
                 self.trace.push(MergeEvent::SinkSink {
                     iteration,
                     u_vertex: self.ws.terminals[u].vertex,
@@ -1096,7 +938,7 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
                 });
             }
             self.register_new_vertices(&path_vertices, s);
-            if !self.opts.batch {
+            if !self.config.batch {
                 self.start_search(s);
             }
         }
@@ -1117,7 +959,7 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
         comp_v: &Component,
     ) -> VertexId {
         let (w_u, w_v) = (self.ws.terminals[u].weight, self.ws.terminals[v].weight);
-        if !self.opts.better_steiner {
+        if !self.config.better_steiner {
             // random endpoint ∝ weight (heavier terminal more likely to
             // stay detour-free towards the root)
             let p_u = if w_u + w_v > 0.0 { w_u / (w_u + w_v) } else { 0.5 };
@@ -1137,7 +979,7 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
         let v_raw = {
             let mut cs = std::mem::take(&mut self.ws.comp_scratch);
             let v_vertex = self.ws.terminals[v].vertex;
-            comp_v.tree_delays_into(self.inst.graph, self.inst.delay, v_vertex, &mut cs);
+            comp_v.tree_delays_into(self.req.graph, self.req.delay, v_vertex, &mut cs);
             let raw = cs.delay.get_or(join, 0.0);
             self.ws.comp_scratch = cs;
             raw
@@ -1148,13 +990,13 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
         let mut acc = 0.0;
         cum.push(0.0);
         for &e in path {
-            acc += self.inst.delay[e as usize];
+            acc += self.req.delay[e as usize];
             cum.push(acc);
         }
         let total: f64 = acc;
         let w_sum = w_u + w_v;
         let fc = self.future();
-        let root = self.inst.root;
+        let root = self.req.root;
         let mut best = (f64::INFINITY, path_vertices[0]);
         for (i, &p) in path_vertices.iter().enumerate() {
             let d_u = usearch_raw + cum[i];
@@ -1176,12 +1018,12 @@ impl<'w, 'a, 'b, G: SteinerGraph + ?Sized> State<'w, 'a, 'b, G> {
     /// terminal positions only (already registered), and existing
     /// candidates stay valid through DSU resolution.
     fn register_new_vertices(&mut self, path_vertices: &[VertexId], owner: TerminalId) {
-        if !self.opts.discount_components {
+        if !self.config.discount_components {
             return;
         }
         // keep goal-oriented future costs admissible: every path vertex
         // is a valid connection target from now on (§III-C feasibility)
-        if let Some(fc) = self.opts.future {
+        if let Some(fc) = self.req.future {
             fc.note_new_targets(path_vertices);
         }
         for &v in path_vertices {

@@ -1,14 +1,13 @@
 //! Plain-text serialization of chips and nets.
 //!
 //! Experiments should be shareable without re-running the generator:
-//! this module writes and parses a compact line-oriented format for
-//! [`Net`] lists and timing chains, so harvested workloads can be
-//! archived next to EXPERIMENTS.md and replayed byte-identically. The
-//! [`doc`] submodule extends the same records into the full `cdst/1`
-//! *chip document* format (grid, layers, capacities, workload, config
-//! overrides) used by `cds-cli` and the `tests/fixtures/` archive.
-//!
-//! Format (one record per line, `#` comments allowed):
+//! the [`doc`] submodule defines the `cdst/1` *chip document* format
+//! (grid, layers, capacities, workload, config overrides) used by
+//! `cds-cli` and the `tests/fixtures/` archive, so harvested workloads
+//! can be archived next to EXPERIMENTS.md and replayed byte-identically.
+//! This module holds the two workload records every document shares —
+//! their writers, and the per-record parsers the document reader calls,
+//! so the record grammar exists exactly once:
 //!
 //! ```text
 //! net <root_x> <root_y> : [<x> <y> ...]
@@ -18,19 +17,19 @@
 //! Serialization is *total*: every line the writers emit parses back to
 //! the value it came from, bit-identically. Floats are printed with
 //! shortest-round-trip (`{:?}`) formatting, and a sink-less net's
-//! `net x y :` record is accepted by [`parse_nets`] (it used to be
-//! rejected, making write → parse partial).
+//! `net x y :` record is accepted by the parser.
 //!
 //! # Examples
 //!
 //! ```
-//! use cds_instgen::io::{nets_to_string, parse_nets};
-//! use cds_instgen::Net;
+//! use cds_instgen::io::{chains_to_string, nets_to_string};
+//! use cds_instgen::{Chain, ChainLink, Net};
 //! use cds_geom::Point;
 //!
 //! let nets = vec![Net { root: Point::new(1, 2), sinks: vec![Point::new(3, 4)] }];
-//! let text = nets_to_string(&nets);
-//! assert_eq!(parse_nets(&text).unwrap(), nets);
+//! assert_eq!(nets_to_string(&nets), "net 1 2 : 3 4\n");
+//! let chains = vec![Chain { links: vec![ChainLink { net: 0, cont_sink: None }], rat_ps: 0.5 }];
+//! assert_eq!(chains_to_string(&chains), "chain 0.5 : 0\n");
 //! ```
 
 pub mod doc;
@@ -73,8 +72,8 @@ pub fn nets_to_string(nets: &[Net]) -> String {
 pub fn chains_to_string(chains: &[Chain]) -> String {
     let mut out = String::new();
     for c in chains {
-        // {:?} is shortest-round-trip: parse_chains recovers rat_ps
-        // bit-exactly ({} used to truncate to ~1e-9 relative error)
+        // {:?} is shortest-round-trip: parse_chain_record recovers
+        // rat_ps bit-exactly ({} used to truncate to ~1e-9 relative error)
         let _ = write!(out, "chain {:?} :", c.rat_ps);
         for l in &c.links {
             match l.cont_sink {
@@ -95,9 +94,8 @@ fn err(line: usize, message: impl Into<String>) -> ParseWorkloadError {
     ParseWorkloadError { line, message: message.into() }
 }
 
-/// Parses the payload of one `net` record (everything after `net `).
-/// Shared by [`parse_nets`] and the [`doc`] parser so the record grammar
-/// exists exactly once.
+/// Parses the payload of one `net` record (everything after `net `) —
+/// the [`doc`] parser's `net` handler.
 pub(crate) fn parse_net_record(rest: &str, line: usize) -> Result<Net, ParseWorkloadError> {
     let (head, tail) = rest.split_once(':').ok_or_else(|| err(line, "missing ':' separator"))?;
     let mut hp = head.split_whitespace();
@@ -149,68 +147,34 @@ pub(crate) fn parse_chain_record(rest: &str, line: usize) -> Result<Chain, Parse
     Ok(Chain { links, rat_ps })
 }
 
-/// Parses nets from the text format (ignoring chain lines and comments).
-///
-/// # Errors
-///
-/// Returns the first malformed line.
-pub fn parse_nets(text: &str) -> Result<Vec<Net>, ParseWorkloadError> {
-    let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with("chain ") {
-            continue;
-        }
-        let Some(rest) = line.strip_prefix("net ") else {
-            return Err(err(i + 1, format!("unknown record: {line}")));
-        };
-        out.push(parse_net_record(rest, i + 1)?);
-    }
-    Ok(out)
-}
-
-/// Parses chains from the text format (ignoring net lines and comments).
-///
-/// # Errors
-///
-/// Returns the first malformed line.
-pub fn parse_chains(text: &str) -> Result<Vec<Chain>, ParseWorkloadError> {
-    let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with("net ") {
-            continue;
-        }
-        let Some(rest) = line.strip_prefix("chain ") else {
-            return Err(err(i + 1, format!("unknown record: {line}")));
-        };
-        out.push(parse_chain_record(rest, i + 1)?);
-    }
-    Ok(out)
-}
-
-/// Serializes a full workload (nets + chains) to one document.
-pub fn workload_to_string(nets: &[Net], chains: &[Chain]) -> String {
-    format!(
-        "# cdst workload: {} nets, {} chains\n{}{}",
-        nets.len(),
-        chains.len(),
-        nets_to_string(nets),
-        chains_to_string(chains)
-    )
-}
-
 #[cfg(test)]
 mod tests {
+    use super::doc::parse_chip_doc;
     use super::*;
     use crate::ChipSpec;
+
+    /// Parses writer output one record per line, the way the document
+    /// reader hands records over.
+    fn parse_lines<T>(
+        text: &str,
+        prefix: &str,
+        record: fn(&str, usize) -> Result<T, ParseWorkloadError>,
+    ) -> Vec<T> {
+        text.lines()
+            .enumerate()
+            .map(|(i, l)| record(l.strip_prefix(prefix).expect("record keyword"), i + 1).unwrap())
+            .collect()
+    }
+
+    /// The smallest document head a workload record can follow.
+    const HEAD: &str =
+        "cdst/1\nchip t\ntech 2\ncelldelay 1.0\ngrid 4 4 1 1.0 1.0 1.0 1.0\nlayer H : 1.0 1.0 1.0\n";
 
     #[test]
     fn roundtrip_generated_chip() {
         let chip = ChipSpec::small_test(5).generate();
-        let doc = workload_to_string(&chip.nets, &chip.chains);
-        let nets = parse_nets(&doc).unwrap();
-        let chains = parse_chains(&doc).unwrap();
+        let nets = parse_lines(&nets_to_string(&chip.nets), "net ", parse_net_record);
+        let chains = parse_lines(&chains_to_string(&chip.chains), "chain ", parse_chain_record);
         assert_eq!(nets, chip.nets);
         // {:?} RAT formatting makes the round trip bit-exact
         assert_eq!(chains, chip.chains);
@@ -226,7 +190,7 @@ mod tests {
             .into_iter()
             .map(|rat_ps| Chain { links: vec![ChainLink { net: 0, cont_sink: None }], rat_ps })
             .collect();
-        let parsed = parse_chains(&chains_to_string(&chains)).unwrap();
+        let parsed = parse_lines(&chains_to_string(&chains), "chain ", parse_chain_record);
         assert_eq!(parsed.len(), chains.len());
         for (a, b) in parsed.iter().zip(&chains) {
             assert_eq!(a.rat_ps.to_bits(), b.rat_ps.to_bits(), "{} drifted", b.rat_ps);
@@ -241,32 +205,31 @@ mod tests {
             Net { root: Point::new(3, -4), sinks: Vec::new() },
             Net { root: Point::new(0, 0), sinks: vec![Point::new(1, 1)] },
         ];
-        let text = nets_to_string(&nets);
-        assert_eq!(parse_nets(&text).unwrap(), nets);
+        assert_eq!(parse_lines(&nets_to_string(&nets), "net ", parse_net_record), nets);
     }
 
     #[test]
     fn comments_and_blank_lines_ignored() {
-        let doc = "# comment\n\nnet 0 0 : 1 1\n";
-        assert_eq!(parse_nets(doc).unwrap().len(), 1);
-        assert!(parse_chains(doc).unwrap().is_empty());
+        let doc = parse_chip_doc(&format!("{HEAD}# comment\n\nnet 0 0 : 1 1\n")).unwrap();
+        assert_eq!(doc.nets.len(), 1);
+        assert!(doc.chains.is_empty());
     }
 
     #[test]
     fn malformed_lines_are_reported_with_numbers() {
-        let doc = "net 0 0 : 1\n";
-        let e = parse_nets(doc).unwrap_err();
+        let e = parse_net_record("0 0 : 1", 1).unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("pairs"));
 
-        let e = parse_nets("# ok\n\nnet 0 0 0 : 1 1\n").unwrap_err();
-        assert_eq!(e.line, 3);
+        // comments and blank lines count towards the reported line
+        let e = parse_chip_doc(&format!("{HEAD}# ok\n\nnet 0 0 0 : 1 1\n")).unwrap_err();
+        assert_eq!(e.line, 9);
         assert!(e.message.contains("after root"), "{e}");
 
-        let e = parse_chains("chain x : 1\n").unwrap_err();
+        let e = parse_chain_record("x : 1", 1).unwrap_err();
         assert!(e.message.contains("RAT"));
 
-        let e = parse_chains("chain 5 : 1/0\n").unwrap_err();
+        let e = parse_chain_record("5 : 1/0", 1).unwrap_err();
         assert!(e.message.contains("continue"), "{e}");
     }
 

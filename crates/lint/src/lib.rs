@@ -19,7 +19,7 @@
 //! | `no-rng-outside-instgen` | every crate but `instgen` | `rand` / `Rng` / `StdRng` / `SeedableRng` outside tests |
 //! | `unsafe-needs-safety-comment` | every crate | an `unsafe` token not preceded by a `// SAFETY:` comment |
 //! | `no-panic-in-serve` | `serve` | `unwrap()` / `expect(` / `panic!` / `todo!` outside tests — a request-path panic must be a mapped error response |
-//! | `solve-path-panic-reachability` | whole workspace | a panic site transitively reachable (conservative call graph, [`callgraph`]) from `Solver::solve_into` / `Router::run_with` / any `route_into` without an argued `// INVARIANT:` comment |
+//! | `solve-path-panic-reachability` | whole workspace | a panic site transitively reachable (conservative call graph, [`callgraph`]) from `Solver::solve_into` / `Router::run_checkpointed` / any `route_into` without an argued `// INVARIANT:` comment |
 //! | `steady-state-no-alloc` | whole workspace | an allocating constructor transitively reachable from a `[[hot]]` function listed in `lint.toml` |
 //! | `no-lock-across-blocking-io` | `serve` | a Mutex/Condvar guard live across a blocking `read`/`write`/`accept` in the same block |
 //!
@@ -99,7 +99,7 @@ pub const RULES: &[RuleDef] = &[
     RuleDef {
         name: "solve-path-panic-reachability",
         rationale: "this panic site is transitively reachable (conservative name-matched call \
-                    graph) from a solve entry point (Solver::solve_into, Router::run_with, or a \
+                    graph) from a solve entry point (Solver::solve_into, Router::run_checkpointed, or a \
                     SteinerOracle::route_into impl); add a `// INVARIANT:` comment arguing why \
                     it cannot fire, or refactor the panic away",
     },
@@ -200,6 +200,13 @@ pub struct LintConfig {
     pub allow: Vec<AllowEntry>,
     /// `[[hot]]` functions for `steady-state-no-alloc`.
     pub hot: Vec<HotEntry>,
+    /// The file set is the whole workspace (set by the binary's
+    /// workspace scan, never by `lint.toml`): every entry point of
+    /// `solve-path-panic-reachability` must then be in it, and one that
+    /// matches no function fails the run — see
+    /// [`LintReport::missing_entries`]. A scan of hand-picked files
+    /// proves nothing about the solve path and skips the check.
+    pub whole_workspace: bool,
 }
 
 /// Everything one lint run produced.
@@ -215,6 +222,11 @@ pub struct LintReport {
     /// Indices of `[[hot]]` entries naming no known function — stale
     /// config is an error for the same reason stale suppressions are.
     pub stale_hot: Vec<usize>,
+    /// Entry-point patterns of `solve-path-panic-reachability` that
+    /// name no known function in a whole-workspace scan: the entry was
+    /// renamed or deleted, and everything only it reached has silently
+    /// left the panic proof. Fails the run like a stale `[[hot]]` entry.
+    pub missing_entries: Vec<&'static str>,
     /// Number of files scanned.
     pub files: usize,
 }
@@ -223,18 +235,11 @@ impl LintReport {
     /// True when the run found nothing to complain about.
     #[must_use]
     pub fn clean(&self) -> bool {
-        self.findings.is_empty() && self.stale.is_empty() && self.stale_hot.is_empty()
+        self.findings.is_empty()
+            && self.stale.is_empty()
+            && self.stale_hot.is_empty()
+            && self.missing_entries.is_empty()
     }
-}
-
-/// Parses the `[[allow]]` tables of `lint.toml` (compatibility wrapper
-/// over [`parse_config`]; `[[hot]]` entries are parsed and dropped).
-///
-/// # Errors
-///
-/// Same as [`parse_config`].
-pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
-    parse_config(text).map(|c| c.allow)
 }
 
 /// Parses the `lint.toml` subset: `[[allow]]` and `[[hot]]` tables with
@@ -571,23 +576,18 @@ fn has_safety_comment(src: &str, tokens: &[Token], start: usize) -> bool {
     })
 }
 
-/// [`run_config`] with an empty hot set — the pre-`[[hot]]` entry
-/// point, kept for callers that only carry suppressions.
-#[must_use]
-pub fn run_lint(files: &[(String, String)], allow: &[AllowEntry]) -> LintReport {
-    run_config(files, &LintConfig { allow: allow.to_vec(), hot: Vec::new() })
-}
-
 /// Entry-point patterns for `solve-path-panic-reachability`: the solve
 /// kernel, the experiment driver, and every `route_into` definition
 /// (the trait default plus each oracle impl — matched by bare name so a
 /// new impl is covered the day it is written).
-const PANIC_ENTRY_PATTERNS: &[&str] = &["Solver::solve_into", "Router::run_with", "route_into"];
+const PANIC_ENTRY_PATTERNS: &[&str] =
+    &["Solver::solve_into", "Router::run_checkpointed", "route_into"];
 
 /// Runs the token rules and the whole-workspace reachability rules over
 /// `(path, source)` pairs, then applies the allowlist. Stale `[[allow]]`
 /// entries land in [`LintReport::stale`], stale `[[hot]]` entries in
-/// [`LintReport::stale_hot`]; both fail the run.
+/// [`LintReport::stale_hot`], unmatched entry points of a whole-workspace
+/// scan in [`LintReport::missing_entries`]; all three fail the run.
 #[must_use]
 pub fn run_config(files: &[(String, String)], config: &LintConfig) -> LintReport {
     let mut raw: Vec<Finding> = Vec::new();
@@ -604,8 +604,15 @@ pub fn run_config(files: &[(String, String)], config: &LintConfig) -> LintReport
     };
 
     // solve-path-panic-reachability
-    let entries: Vec<usize> =
-        PANIC_ENTRY_PATTERNS.iter().flat_map(|p| graph.find(&models, p)).collect();
+    let mut entries = Vec::new();
+    let mut missing_entries = Vec::new();
+    for &pattern in PANIC_ENTRY_PATTERNS {
+        let ids = graph.find(&models, pattern);
+        if ids.is_empty() && config.whole_workspace {
+            missing_entries.push(pattern);
+        }
+        entries.extend(ids);
+    }
     let parent = graph.reachable(&entries);
     for (fi, m) in models.iter().enumerate() {
         for site in &m.panics {
@@ -672,7 +679,8 @@ pub fn run_config(files: &[(String, String)], config: &LintConfig) -> LintReport
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
 
-    let mut report = LintReport { files: files.len(), stale_hot, ..LintReport::default() };
+    let mut report =
+        LintReport { files: files.len(), stale_hot, missing_entries, ..LintReport::default() };
     let mut used = vec![false; config.allow.len()];
     for f in raw {
         match config.allow.iter().position(|e| e.matches(&f)) {
@@ -801,47 +809,71 @@ mod tests {
             "crates/core/src/a.rs".to_string(),
             "use std::collections::HashMap;\n".to_string(),
         )];
-        let allow = parse_allowlist(
+        let mut config = parse_config(
             "[[allow]]\nrule = \"no-hash-on-solve-path\"\npath = \"crates/core/src/a.rs\"\n\
              pattern = \"HashMap\"\nreason = \"test: never iterated\"\n\n\
              [[allow]]\nrule = \"no-panic-in-serve\"\npath = \"crates/serve\"\n\
              pattern = \"unwrap\"\nreason = \"stale on purpose\"\n",
         )
         .expect("parses");
-        let report = run_lint(&files, &allow);
+        let report = run_config(&files, &config);
         assert!(report.findings.is_empty());
         assert_eq!(report.suppressed.len(), 1);
         assert_eq!(report.stale, vec![1]);
         assert!(!report.clean());
         // dropping the stale entry makes it clean
-        let report = run_lint(&files, &allow[..1]);
+        config.allow.truncate(1);
+        let report = run_config(&files, &config);
         assert!(report.clean());
         // dropping the used entry resurfaces the finding
-        let report = run_lint(&files, &[]);
+        let report = run_config(&files, &LintConfig::default());
         assert_eq!(report.findings.len(), 1);
     }
 
     #[test]
     fn allowlist_rejects_bad_entries() {
-        assert!(parse_allowlist(
+        assert!(parse_config(
             "[[allow]]\nrule = \"no-such-rule\"\npath = \"x\"\npattern = \"y\"\nreason = \"z\"\n"
         )
         .unwrap_err()
         .contains("unknown rule"));
-        assert!(parse_allowlist("[[allow]]\nrule = \"no-panic-in-serve\"\npath = \"x\"\npattern = \"y\"\nreason = \"  \"\n")
+        assert!(parse_config("[[allow]]\nrule = \"no-panic-in-serve\"\npath = \"x\"\npattern = \"y\"\nreason = \"  \"\n")
             .unwrap_err()
             .contains("empty `reason`"));
-        assert!(parse_allowlist(
+        assert!(parse_config(
             "[[allow]]\nrule = \"no-panic-in-serve\"\npath = \"x\"\nreason = \"z\"\n"
         )
         .unwrap_err()
         .contains("missing `pattern`"));
-        assert!(parse_allowlist("key = \"outside\"\n").unwrap_err().contains("outside"));
-        assert!(parse_allowlist("[[allow]]\nrule = unquoted\n")
+        assert!(parse_config("key = \"outside\"\n").unwrap_err().contains("outside"));
+        assert!(parse_config("[[allow]]\nrule = unquoted\n")
             .unwrap_err()
             .contains("double-quoted"));
         // comments and blank lines are fine
-        assert_eq!(parse_allowlist("# just a comment\n\n").expect("ok").len(), 0);
+        assert_eq!(parse_config("# just a comment\n\n").expect("ok"), LintConfig::default());
+    }
+
+    #[test]
+    fn a_workspace_scan_without_an_entry_point_fails_and_names_it() {
+        // the router's entry renamed away: the proof would silently
+        // shrink to what the other two entries reach
+        let files = vec![(
+            "crates/router/src/lib.rs".to_string(),
+            "impl Solver { pub fn solve_into(&self) {} }\n\
+             impl Router { pub fn run_renamed(&self) {} }\n\
+             impl CdOracle { fn route_into(&self) {} }\n"
+                .to_string(),
+        )];
+        let workspace = LintConfig { whole_workspace: true, ..LintConfig::default() };
+        let report = run_config(&files, &workspace);
+        assert_eq!(report.missing_entries, vec!["Router::run_checkpointed"]);
+        assert!(report.findings.is_empty() && !report.clean());
+        // hand-picked files claim nothing about the solve path
+        assert!(run_config(&files, &LintConfig::default()).clean());
+        // with the entry present the scan is clean again
+        let fixed =
+            vec![(files[0].0.clone(), files[0].1.replace("run_renamed", "run_checkpointed"))];
+        assert!(run_config(&fixed, &workspace).clean());
     }
 
     #[test]
@@ -850,12 +882,12 @@ mod tests {
             "crates/core/src/solver.rs".to_string(),
             "use rand::{Rng, SeedableRng};\n".to_string(),
         )];
-        let allow = parse_allowlist(
+        let config = parse_config(
             "[[allow]]\nrule = \"no-rng-outside-instgen\"\npath = \"crates/core/src/solver.rs\"\n\
              pattern = \"\"\nreason = \"seeded per request\"\n",
         )
         .expect("parses");
-        let report = run_lint(&files, &allow);
+        let report = run_config(&files, &config);
         assert!(report.clean());
         assert_eq!(report.suppressed.len(), 3);
     }

@@ -135,6 +135,13 @@ fn print_report(report: &LintReport, config: &LintConfig) {
             e.line, e.function
         );
     }
+    for pattern in &report.missing_entries {
+        println!(
+            "cds-lint: solve-path-panic-reachability: entry point `{pattern}` names no known \
+             function — it was renamed or deleted, and what only it reached has left the proof; \
+             fix PANIC_ENTRY_PATTERNS"
+        );
+    }
     // per-rule counts, every rule every run, so CI logs diff cleanly
     for r in RULES {
         let found = report.findings.iter().filter(|f| f.rule == r.name).count();
@@ -143,12 +150,13 @@ fn print_report(report: &LintReport, config: &LintConfig) {
     }
     println!(
         "cds-lint: {} files, {} findings, {} suppressed, {} stale allowlist entries, {} stale \
-         hot entries",
+         hot entries, {} missing entry points",
         report.files,
         report.findings.len(),
         report.suppressed.len(),
         report.stale.len(),
-        report.stale_hot.len()
+        report.stale_hot.len(),
+        report.missing_entries.len()
     );
 }
 
@@ -168,7 +176,8 @@ fn run(argv: &[String]) -> Result<bool, String> {
                     pass --root",
         )?,
     };
-    let paths = if args.files.is_empty() { workspace_files(&root) } else { args.files };
+    let whole_workspace = args.files.is_empty();
+    let paths = if whole_workspace { workspace_files(&root) } else { args.files };
     if paths.is_empty() {
         return Err(format!("no .rs files under {}/crates/*/src", root.display()));
     }
@@ -178,10 +187,11 @@ fn run(argv: &[String]) -> Result<bool, String> {
         files.push((relative(&root, &p), text));
     }
     let allow_path = args.allowlist.unwrap_or_else(|| root.join("lint.toml"));
-    let config = match std::fs::read_to_string(&allow_path) {
+    let mut config = match std::fs::read_to_string(&allow_path) {
         Ok(text) => parse_config(&text)?,
         Err(_) => LintConfig::default(), // no config: nothing suppressed, no hot set
     };
+    config.whole_workspace = whole_workspace;
     let report = run_config(&files, &config);
     if args.json {
         println!("{}", report_json(&report, &config));

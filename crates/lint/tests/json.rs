@@ -51,7 +51,7 @@ fn golden_snapshot_of_a_fixture_run() {
   "files": 1,
   "clean": false,
   "findings": [
-    { "rule": "solve-path-panic-reachability", "path": "crates/core/src/fixture.rs", "line": 3, "col": 22, "token": "unwrap", "rationale": "this panic site is transitively reachable (conservative name-matched call graph) from a solve entry point (Solver::solve_into, Router::run_with, or a SteinerOracle::route_into impl); add a `// INVARIANT:` comment arguing why it cannot fire, or refactor the panic away", "chain": ["Solver::solve_into", "helper"] },
+    { "rule": "solve-path-panic-reachability", "path": "crates/core/src/fixture.rs", "line": 3, "col": 22, "token": "unwrap", "rationale": "this panic site is transitively reachable (conservative name-matched call graph) from a solve entry point (Solver::solve_into, Router::run_checkpointed, or a SteinerOracle::route_into impl); add a `// INVARIANT:` comment arguing why it cannot fire, or refactor the panic away", "chain": ["Solver::solve_into", "helper"] },
     { "rule": "steady-state-no-alloc", "path": "crates/core/src/fixture.rs", "line": 6, "col": 45, "token": "vec!", "rationale": "a `[[hot]]` function in lint.toml (queue ops, relax/settle kernel, rip-up inner loop) transitively reaches an allocating constructor; steady-state routing must run allocation-free on a warm workspace", "chain": ["Hot::push"] }
   ],
   "suppressed": [

@@ -27,7 +27,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Loads every `crates/*/src/**/*.rs` as (repo-relative path, contents),
-/// mirroring what the `cds-lint --workspace` binary feeds `run_lint`.
+/// mirroring what the `cds-lint --workspace` binary feeds `run_config`.
 fn workspace_files() -> Vec<(String, String)> {
     let root = repo_root();
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
@@ -52,7 +52,10 @@ fn workspace_files() -> Vec<(String, String)> {
 
 fn checked_in_config() -> LintConfig {
     let text = fs::read_to_string(repo_root().join("lint.toml")).expect("lint.toml exists");
-    parse_config(&text).expect("checked-in lint.toml parses")
+    let config = parse_config(&text).expect("checked-in lint.toml parses");
+    // like the binary's workspace scan: every solve-path entry point
+    // must exist
+    LintConfig { whole_workspace: true, ..config }
 }
 
 fn describe(report: &LintReport) -> String {
@@ -87,7 +90,7 @@ fn every_allowlist_entry_is_load_bearing() {
                 .filter(|&(i, _)| i != drop)
                 .map(|(_, e)| e.clone())
                 .collect(),
-            hot: config.hot.clone(),
+            ..config.clone()
         };
         let report = run_config(&files, &pruned);
         assert!(

@@ -41,8 +41,8 @@ pub mod report;
 mod schedule;
 
 pub use oracle::{
-    route_net, CdOracle, L1Oracle, OracleRequest, OracleWorkspace, PdOracle, SlOracle,
-    SteinerMethod, SteinerOracle, UnknownMethod,
+    CdOracle, L1Oracle, OracleRequest, OracleWorkspace, PdOracle, SlOracle, SteinerMethod,
+    SteinerOracle, UnknownMethod,
 };
 
 use cds_core::{SessionConfig, SolveStats};
@@ -58,12 +58,14 @@ use cds_metrics::{
 use cds_sta::{IncrementalSta, TimingGraph, TimingReport};
 use cds_topo::{BifurcationConfig, NodeKind, RoutedForest, TreeDump, TreeView};
 use schedule::{DirtyCause, DirtyTracker};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Cooperative run control shared between a [`Router::run_with`] call
-/// and whoever may want to stop it (another thread, a server's
-/// `DELETE /jobs/:id` handler, a signal hook).
+/// Cooperative run control shared between a
+/// [`Router::run_checkpointed`] call and whoever may want to stop it
+/// (another thread, a server's `DELETE /jobs/:id` handler, a signal
+/// hook).
 ///
 /// Cancellation is checked once per rip-up iteration, *before*
 /// iterations `1..`: the first iteration always completes, so a
@@ -96,7 +98,7 @@ impl RunControl {
 
 /// Persistent warm routing state: one [`OracleWorkspace`] plus one
 /// scratch [`RoutedForest`] per worker thread, reusable across
-/// [`Router::run_with`] calls — and across *chips*: the slabs are
+/// [`Router::run_checkpointed`] calls — and across *chips*: the slabs are
 /// cleared, never shrunk, so a long-running server keeps routing jobs
 /// without returning arenas to the allocator. Reuse cannot change
 /// results: per-net outputs depend only on per-net inputs (the
@@ -330,11 +332,11 @@ impl Default for RouterConfig {
     }
 }
 
-/// Result of routing one net (window-independent owned summary) — the
-/// compatibility form returned by [`Router::route_one`]. Inside
-/// [`Router::run`] nothing is materialized per net: every tree and
-/// summary span lives in the [`RoutingOutcome::forest`] arena, read
-/// through [`NetView`]s.
+/// Result of routing one net (window-independent owned summary) — what
+/// [`Router::route_one_with`], the table harnesses' per-net entry,
+/// returns. Inside [`Router::run`] nothing is materialized per net:
+/// every tree and summary span lives in the [`RoutingOutcome::forest`]
+/// arena, read through [`NetView`]s.
 #[derive(Debug, Clone)]
 pub struct RoutedNet {
     /// Wirelength in gcells.
@@ -581,9 +583,7 @@ pub struct RoutingOutcome {
     pub prices: Vec<f64>,
     /// Every net's routed tree and summary spans, in net order, in one
     /// struct-of-arrays arena (see [`cds_topo::forest`]); read per-net
-    /// data through [`nets`](Self::nets) / [`net`](Self::net), or
-    /// materialize an owned [`RoutedNet`] with
-    /// [`routed_net`](Self::routed_net).
+    /// data through [`nets`](Self::nets) / [`net`](Self::net).
     pub forest: RoutedForest,
     /// Harvested instances (nets with ≥ 3 sinks), when requested: each
     /// net's committed route with the weights/budgets it was last
@@ -615,16 +615,6 @@ impl RoutingOutcome {
     /// Borrowed summaries of all nets, in net order.
     pub fn nets(&self) -> impl Iterator<Item = NetView<'_>> {
         (0..self.forest.num_slots()).map(|i| self.net(i))
-    }
-
-    /// Owned [`RoutedNet`] materialization of net `i` (compat bridge).
-    pub fn routed_net(&self, i: usize) -> RoutedNet {
-        RoutedNet {
-            wirelength_gcells: self.forest.wirelength_gcells(i),
-            vias: self.forest.vias(i),
-            sink_delays: self.forest.sink_delays(i).to_vec(),
-            used_edges: self.forest.used_edges(i).to_vec(),
-        }
     }
 
     /// FNV-1a checksum over the bit-exact routing result: the quality
@@ -754,11 +744,18 @@ impl<'a> Router<'a> {
     /// depends only on that net's inputs, and results are identical
     /// across thread counts.
     pub fn run(&self) -> RoutingOutcome {
-        self.run_with(&mut WorkerPool::new(), &RunControl::new(), &mut |_, _| {})
+        self.run_checkpointed(
+            &mut WorkerPool::new(),
+            &RunControl::new(),
+            &mut |_, _| {},
+            None,
+            &mut |_, _| {},
+        )
     }
 
-    /// [`run`](Self::run) with externally-owned warm state and
-    /// cooperative control — the form a long-running service drives:
+    /// [`run`](Self::run) with externally-owned warm state, cooperative
+    /// control, and the checkpoint/resume surface — the form a
+    /// long-running service and `cds-cli route` drive:
     ///
     /// * `pool` supplies the per-thread oracle workspaces and scratch
     ///   forests, kept warm across calls (and across different chips);
@@ -770,17 +767,6 @@ impl<'a> Router<'a> {
     ///   iteration index and the stats accumulated so far (its
     ///   `rerouted_per_iter`/`iter_wall_s` tails are that iteration's
     ///   entries) — a server's status endpoint reads its snapshots.
-    pub fn run_with(
-        &self,
-        pool: &mut WorkerPool,
-        ctrl: &RunControl,
-        progress: &mut dyn FnMut(usize, &RouterStats),
-    ) -> RoutingOutcome {
-        self.run_checkpointed(pool, ctrl, progress, None, &mut |_, _| {})
-    }
-
-    /// [`run_with`](Self::run_with) plus the checkpoint/resume surface:
-    ///
     /// * with [`RouterConfig::checkpoint_every`] set, `on_checkpoint`
     ///   receives `(completed_iterations, state)` after every K-th
     ///   completed rip-up iteration (never after the final one — a
@@ -797,8 +783,10 @@ impl<'a> Router<'a> {
     /// # Panics
     ///
     /// Panics if `resume` does not belong to this chip/config (ledger
-    /// or arity mismatch). Parse-level validation (`cdst/2` documents)
-    /// catches malformed state before it gets here.
+    /// or arity mismatch, or an incremental run handed the state of an
+    /// `incremental = false` one, which carries no scheduler state).
+    /// Parse-level validation (`cdst/2` documents) catches malformed
+    /// state before it gets here.
     pub fn run_checkpointed(
         &self,
         pool: &mut WorkerPool,
@@ -846,8 +834,12 @@ impl<'a> Router<'a> {
         let start_iter = resume.map_or(0, |s| s.iteration);
         if let Some(s) = resume {
             assert!(
-                s.iteration >= 1 && s.usage.len() == m && s.nets.len() == n,
-                "resume state does not match this chip"
+                s.iteration >= 1
+                    && s.usage.len() == m
+                    && s.nets.len() == n
+                    && (!incremental || s.prices.len() == m),
+                "resume state does not match this chip, or an incremental run was handed \
+                 the state of an incremental=false run (no scheduler state)"
             );
             usage.copy_from_slice(&s.usage);
             usage_hist.copy_from_slice(&s.usage_hist);
@@ -932,8 +924,11 @@ impl<'a> Router<'a> {
         // forest the worker routes into — reused across nets, rip-up
         // iterations, and (through the caller's pool) whole jobs;
         // results are merged into the chip-wide forest in deterministic
-        // net order by span copies
-        pool.ensure(self.config.threads.max(1));
+        // net order by span copies. The dispatcher never runs more
+        // workers than nets, so neither does the pool hold more (a
+        // `threads` knob from outside the program must not size memory).
+        let num_workers = self.config.threads.max(1).min(n.max(1));
+        pool.ensure(num_workers);
         let workers = &mut pool.workers;
 
         for iter in start_iter..self.config.iterations {
@@ -986,8 +981,14 @@ impl<'a> Router<'a> {
             // 2. route the scheduled nets in parallel on frozen prices
             //    (into per-worker scratch forests), then merge into the
             //    chip-wide forest in deterministic net order
-            let (placements, kernel) =
-                self.route_ids_into(&dirty, &prices, &weights, &budgets, bif, workers);
+            let (placements, kernel) = self.route_ids_into(
+                &dirty,
+                &prices,
+                &weights,
+                &budgets,
+                bif,
+                &mut workers[..num_workers],
+            );
             stats.add_kernel(kernel);
 
             // 3. usage accounting: full sweeps recompute from scratch
@@ -1195,30 +1196,6 @@ impl<'a> Router<'a> {
         RoutingOutcome { metrics, timing: report, usage, prices, forest, harvest, stats }
     }
 
-    /// Routes one net with a built-in method and a throwaway workspace —
-    /// the convenience form of [`route_one_with`](Self::route_one_with)
-    /// used by the table harnesses (which must present *identical*
-    /// instances to all four methods).
-    pub fn route_one(
-        &self,
-        net_id: usize,
-        method: SteinerMethod,
-        prices: &[f64],
-        weights: &[f64],
-        budgets: Option<&[f64]>,
-        bif: BifurcationConfig,
-    ) -> (RoutedNet, f64) {
-        self.route_one_with(
-            net_id,
-            method.oracle(),
-            prices,
-            weights,
-            budgets,
-            bif,
-            &mut OracleWorkspace::new(),
-        )
-    }
-
     /// Routes one net through an explicit oracle and workspace; shared
     /// by the main loop's worker threads and every harness.
     ///
@@ -1410,22 +1387,71 @@ impl<'a> Router<'a> {
         }
     }
 
+    /// Decides how one iteration's scheduled nets are handed to the
+    /// workers: `groups` of indices into `ids` that a worker claims
+    /// whole, and the `per_net` indices claimed one at a time.
+    ///
+    /// Unsharded (`shards <= 1`) every net is claimed per net — no
+    /// window is classified (a 1×1 [`ShardGrid`] would put every net
+    /// into one group and serialize the iteration on one worker). With
+    /// `shards > 1` each net is classified by its routing window's
+    /// [`ShardGrid`] region — the same rectangle [`WindowView::around`]
+    /// routes in, so "interior" means the net's whole search space is
+    /// inside one shard: interior nets form one group per (non-empty)
+    /// shard, nets whose window crosses a split go to `per_net`.
+    fn claim_plan(&self, ids: &[usize]) -> (Vec<Vec<usize>>, Vec<usize>) {
+        if self.config.shards <= 1 {
+            return (Vec::new(), (0..ids.len()).collect());
+        }
+        let spec = self.chip.grid.spec();
+        let grid = ShardGrid::new(spec.nx, spec.ny, self.config.shards);
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); grid.num_shards()];
+        let mut per_net: Vec<usize> = Vec::new();
+        let mut pins = Vec::new();
+        for (k, &net_id) in ids.iter().enumerate() {
+            let net = &self.chip.nets[net_id];
+            pins.clear();
+            pins.push(net.root);
+            pins.extend_from_slice(&net.sinks);
+            let (x0, y0, x1, y1) =
+                window_bounds(&pins, self.config.window_margin, spec.nx, spec.ny);
+            match grid.shard_of_rect(x0, y0, x1, y1) {
+                Some(s) => groups[s].push(k),
+                None => per_net.push(k),
+            }
+        }
+        groups.retain(|g| !g.is_empty());
+        (groups, per_net)
+    }
+
     /// Routes the given nets in parallel into the workers' scratch
-    /// forests, returning `(worker, slot)` placements aligned with
+    /// forests (at most one thread per worker handed in, and never more
+    /// than nets), returning `(worker, slot)` placements aligned with
     /// `ids` (the caller merges them into the chip-wide forest in net
     /// order — deterministic regardless of which worker routed what)
     /// plus the summed search-kernel counters of every routed net
     /// (order-independent integer sums, so equally deterministic).
-    /// Work is distributed through a shared atomic counter: each
-    /// worker claims the next unrouted index as soon as it finishes one,
-    /// so a cluster of large nets landing together cannot idle the other
-    /// workers (the previous contiguous `div_ceil` chunking could leave
-    /// `threads − 1` workers parked behind one slow chunk). The dynamic
-    /// schedule is determinism-safe: per-net results depend only on
-    /// per-net inputs (the workspace contract of [`SteinerOracle`]), so
-    /// which worker routes a net — and in what order — cannot change any
-    /// result, only which warm workspace computes it (pinned by
-    /// `deterministic_across_thread_counts`).
+    ///
+    /// Work is distributed by the [`claim_plan`](Self::claim_plan)
+    /// through two shared atomic counters, over the same worker set:
+    ///
+    /// 1. **whole groups**: a worker claims a shard's interior nets at
+    ///    once and routes them in schedule order, so its consecutive
+    ///    oracle calls share a die region (warm window locality) and
+    ///    never contend with another shard's;
+    /// 2. **per net**: each worker then claims the next unrouted index
+    ///    as soon as it finishes one, so a cluster of large nets landing
+    ///    together cannot idle the other workers. Unsharded runs have
+    ///    only this phase; sharded runs drain their boundary nets here.
+    ///
+    /// The dynamic schedule is determinism-safe: per-net results depend
+    /// only on per-net inputs (the workspace contract of
+    /// [`SteinerOracle`]), and neither the usage fold nor the forest
+    /// merge ever sees the claim order, so which worker routes a net —
+    /// and in what order — cannot change any result, only which warm
+    /// workspace computes it (pinned by
+    /// `deterministic_across_thread_counts` and
+    /// `sharded_routing_is_bit_identical_across_shard_and_thread_counts`).
     fn route_ids_into(
         &self,
         ids: &[usize],
@@ -1438,131 +1464,23 @@ impl<'a> Router<'a> {
         if ids.is_empty() {
             return (Vec::new(), SolveStats::default());
         }
-        if self.config.shards > 1 {
-            return self.route_ids_sharded(ids, prices, weights, budgets, bif, workers);
-        }
-        let threads = self.config.threads.max(1).min(ids.len()).min(workers.len().max(1));
+        let (groups, per_net) = self.claim_plan(ids);
         let oracle = self.oracle.as_ref();
-        let next = std::sync::atomic::AtomicUsize::new(0);
+        let next_group = AtomicUsize::new(0);
+        let next_net = AtomicUsize::new(0);
         let mut placements: Vec<Option<(usize, usize)>> = vec![None; ids.len()];
         let mut kernel = SolveStats::default();
         std::thread::scope(|scope| {
             let handles: Vec<_> = workers
                 .iter_mut()
-                .take(threads)
+                .take(ids.len())
                 .enumerate()
                 .map(|(wi, w)| {
-                    let next = &next;
+                    let (next_group, next_net) = (&next_group, &next_net);
+                    let (groups, per_net) = (&groups, &per_net);
                     scope.spawn(move || {
                         // slabs stay warm across iterations; only the
                         // previous iteration's spans are dropped
-                        w.forest.clear();
-                        let mut routed: Vec<(usize, usize)> = Vec::new();
-                        let mut ksum = SolveStats::default();
-                        loop {
-                            let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&net_id) = ids.get(k) else { break };
-                            let slot = w.forest.alloc_slot();
-                            let (_, ks) = self.route_one_into(
-                                net_id,
-                                oracle,
-                                prices,
-                                &weights[net_id],
-                                budgets[net_id].as_deref(),
-                                bif,
-                                &mut w.ws,
-                                &mut w.forest,
-                                slot,
-                            );
-                            ksum.absorb(ks);
-                            routed.push((k, slot));
-                        }
-                        (wi, routed, ksum)
-                    })
-                })
-                .collect();
-            for h in handles {
-                // INVARIANT: join fails only when the worker panicked; re-panicking propagates that failure instead of silently dropping its nets.
-                let (wi, routed, ksum) = h.join().expect("router worker panicked");
-                kernel.absorb(ksum);
-                for (k, slot) in routed {
-                    placements[k] = Some((wi, slot));
-                }
-            }
-        });
-        let placements =
-            // INVARIANT: each worker writes a placement for every net index it was scheduled before exiting, and all workers were joined above.
-            placements.into_iter().map(|p| p.expect("all scheduled nets routed")).collect();
-        (placements, kernel)
-    }
-
-    /// The region-parallel variant of [`route_ids_into`](Self::route_ids_into)
-    /// (`shards > 1`): classify each scheduled net by its routing
-    /// window's [`ShardGrid`] region, then run two claim phases over
-    /// the same worker set —
-    ///
-    /// 1. **interior nets, a shard at a time**: workers atomically
-    ///    claim whole shard groups and route each group's nets in
-    ///    schedule order, so one worker's consecutive oracle calls
-    ///    share a die region (warm window locality) and never contend
-    ///    with another shard's;
-    /// 2. **boundary nets**: nets whose window crosses a shard split
-    ///    drain through the plain per-net atomic queue (the
-    ///    reconciliation pass).
-    ///
-    /// Worker scratch forests are cleared once up front and survive
-    /// both phases. The returned placements stay aligned with `ids`, so
-    /// the caller's merge runs in global schedule order exactly as in
-    /// the unsharded path — which is why results are bit-identical
-    /// across shard counts: per-net results depend only on per-net
-    /// inputs, and neither the usage fold nor the forest merge ever
-    /// sees the claim order.
-    fn route_ids_sharded(
-        &self,
-        ids: &[usize],
-        prices: &[f64],
-        weights: &[Vec<f64>],
-        budgets: &[Option<Vec<f64>>],
-        bif: BifurcationConfig,
-        workers: &mut [RouteWorker],
-    ) -> (Vec<(usize, usize)>, SolveStats) {
-        let spec = self.chip.grid.spec();
-        let grid = ShardGrid::new(spec.nx, spec.ny, self.config.shards);
-        // classify by window rectangle — the same single source of
-        // truth WindowView::around routes in, so "interior" really
-        // means the net's whole search space is inside one shard
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); grid.num_shards()];
-        let mut boundary: Vec<usize> = Vec::new();
-        let mut pins = Vec::new();
-        for (k, &net_id) in ids.iter().enumerate() {
-            let net = &self.chip.nets[net_id];
-            pins.clear();
-            pins.push(net.root);
-            pins.extend_from_slice(&net.sinks);
-            let (x0, y0, x1, y1) =
-                window_bounds(&pins, self.config.window_margin, spec.nx, spec.ny);
-            match grid.shard_of_rect(x0, y0, x1, y1) {
-                Some(s) => groups[s].push(k),
-                None => boundary.push(k),
-            }
-        }
-        let groups: Vec<Vec<usize>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
-
-        let threads = self.config.threads.max(1).min(ids.len()).min(workers.len().max(1));
-        let oracle = self.oracle.as_ref();
-        let next_group = std::sync::atomic::AtomicUsize::new(0);
-        let next_boundary = std::sync::atomic::AtomicUsize::new(0);
-        let mut placements: Vec<Option<(usize, usize)>> = vec![None; ids.len()];
-        let mut kernel = SolveStats::default();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .iter_mut()
-                .take(threads)
-                .enumerate()
-                .map(|(wi, w)| {
-                    let (next_group, next_boundary) = (&next_group, &next_boundary);
-                    let (groups, boundary) = (&groups, &boundary);
-                    scope.spawn(move || {
                         w.forest.clear();
                         let mut routed: Vec<(usize, usize)> = Vec::new();
                         let mut ksum = SolveStats::default();
@@ -1583,19 +1501,12 @@ impl<'a> Router<'a> {
                             ksum.absorb(ks);
                             routed.push((k, slot));
                         };
-                        // phase 1: whole shard groups
-                        loop {
-                            let gi = next_group.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(group) = groups.get(gi) else { break };
+                        while let Some(group) = groups.get(next_group.fetch_add(1, Relaxed)) {
                             for &k in group {
                                 route_k(k, w);
                             }
                         }
-                        // phase 2: boundary reconciliation, per net
-                        loop {
-                            let bi =
-                                next_boundary.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&k) = boundary.get(bi) else { break };
+                        while let Some(&k) = per_net.get(next_net.fetch_add(1, Relaxed)) {
                             route_k(k, w);
                         }
                         (wi, routed, ksum)
@@ -1612,7 +1523,7 @@ impl<'a> Router<'a> {
             }
         });
         let placements =
-            // INVARIANT: every scheduled index is in exactly one shard group or the boundary list, each was claimed exactly once, and all workers were joined above.
+            // INVARIANT: the claim plan partitions the scheduled indices into groups and the per-net list, each entry was claimed exactly once, and all workers were joined above.
             placements.into_iter().map(|p| p.expect("all scheduled nets routed")).collect();
         (placements, kernel)
     }
@@ -1720,7 +1631,7 @@ impl<'a> Router<'a> {
                 prefix += est(net.root, stage_sink) + chip.cell_delay_ps;
             }
         }
-        (tg, NetNodes { root_node, sink_node, sink_arc })
+        (tg, NetNodes { sink_node, sink_arc })
     }
 }
 
@@ -1735,8 +1646,6 @@ struct RouteWorker {
 
 /// Timing-node bookkeeping per net.
 struct NetNodes {
-    #[allow(dead_code)]
-    root_node: Vec<u32>,
     sink_node: Vec<Vec<u32>>,
     sink_arc: Vec<Vec<u32>>,
 }
@@ -1748,6 +1657,12 @@ mod tests {
 
     fn tiny_chip() -> cds_instgen::Chip {
         ChipSpec { num_nets: 30, ..ChipSpec::small_test(5) }.generate()
+    }
+
+    /// A run on a caller-owned pool: no cancellation, progress hook,
+    /// resume state or checkpoint sink.
+    fn run_on(router: &Router<'_>, pool: &mut WorkerPool) -> RoutingOutcome {
+        router.run_checkpointed(pool, &RunControl::new(), &mut |_, _| {}, None, &mut |_, _| {})
     }
 
     #[test]
@@ -1797,6 +1712,72 @@ mod tests {
                 .run();
         assert_eq!(out.num_nets(), chip.nets.len());
         assert!(out.nets().all(|rn| !rn.used_edges.is_empty() || rn.vias == 0));
+    }
+
+    #[test]
+    fn an_absurd_thread_count_is_capped_at_the_net_count() {
+        // `threads` arrives from a CLI flag or a query string: it must
+        // not size the pool (one oracle workspace + scratch forest per
+        // worker), only bound it
+        let chip = tiny_chip();
+        let run = |threads, pool: &mut WorkerPool| {
+            let config = RouterConfig { threads, iterations: 2, ..Default::default() };
+            run_on(&Router::new(&chip, config), pool)
+        };
+        let mut pool = WorkerPool::new();
+        let huge = run(usize::MAX / 2, &mut pool);
+        assert!(pool.len() <= chip.nets.len(), "pool grew to {} workers", pool.len());
+        assert_eq!(huge.checksum(), run(1, &mut WorkerPool::new()).checksum());
+    }
+
+    #[test]
+    fn unsharded_claim_plan_is_the_per_net_queue() {
+        // shards = 1 must not classify windows: a 1×1 shard grid would
+        // put every net into one group, i.e. onto one worker
+        let chip = tiny_chip();
+        let router = Router::new(&chip, RouterConfig { shards: 1, ..Default::default() });
+        for ids in [(0..chip.nets.len()).collect::<Vec<_>>(), vec![7, 3, 11], vec![]] {
+            let (groups, per_net) = router.claim_plan(&ids);
+            assert!(groups.is_empty(), "unsharded plan grouped nets: {groups:?}");
+            assert_eq!(per_net, (0..ids.len()).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn sharded_claim_plan_partitions_the_schedule_by_window() {
+        let chip = tiny_chip();
+        let spec = chip.grid.spec();
+        // a partial schedule in non-identity order: plan entries index
+        // `ids`, not nets
+        let ids: Vec<usize> = (0..chip.nets.len()).rev().step_by(2).collect();
+        let shard_of = |grid: &ShardGrid, net_id: usize| {
+            let net = &chip.nets[net_id];
+            let pins: Vec<Point> = std::iter::once(net.root).chain(net.sinks.clone()).collect();
+            let (x0, y0, x1, y1) =
+                window_bounds(&pins, RouterConfig::default().window_margin, spec.nx, spec.ny);
+            grid.shard_of_rect(x0, y0, x1, y1)
+        };
+        for ids in [(0..chip.nets.len()).collect(), ids] {
+            for shards in [2, 4, 8] {
+                let router = Router::new(&chip, RouterConfig { shards, ..Default::default() });
+                let grid = ShardGrid::new(spec.nx, spec.ny, shards);
+                let (groups, per_net) = router.claim_plan(&ids);
+                let mut seen: Vec<usize> =
+                    groups.iter().flatten().chain(&per_net).copied().collect();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..ids.len()).collect::<Vec<_>>(), "{shards} shards");
+                if shards == 2 {
+                    // the chip exercises both claim phases
+                    assert!(!groups.is_empty() && !per_net.is_empty());
+                }
+                for group in &groups {
+                    let shard = shard_of(&grid, ids[group[0]]);
+                    assert!(shard.is_some(), "{shards} shards: a boundary net was grouped");
+                    assert!(group.iter().all(|&k| shard_of(&grid, ids[k]) == shard));
+                }
+                assert!(per_net.iter().all(|&k| shard_of(&grid, ids[k]).is_none()));
+            }
+        }
     }
 
     #[test]
@@ -2022,6 +2003,37 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "resume state does not match")]
+    fn incremental_resume_of_a_full_reroute_checkpoint_is_refused_by_name() {
+        // a full-reroute checkpoint carries no scheduler state (empty
+        // prices / weight references): an incremental resume must fail
+        // with the named message, not a slice-length panic in the
+        // dirty tracker
+        let chip = tiny_chip();
+        let cfg = RouterConfig {
+            iterations: 4,
+            checkpoint_every: 2,
+            incremental: false,
+            ..Default::default()
+        };
+        let mut cps = Vec::new();
+        Router::new(&chip, cfg.clone()).run_checkpointed(
+            &mut WorkerPool::new(),
+            &RunControl::new(),
+            &mut |_, _| {},
+            None,
+            &mut |_, s| cps.push(s),
+        );
+        Router::new(&chip, RouterConfig { incremental: true, ..cfg }).run_checkpointed(
+            &mut WorkerPool::new(),
+            &RunControl::new(),
+            &mut |_, _| {},
+            cps.last(),
+            &mut |_, _| {},
+        );
+    }
+
+    #[test]
     fn checkpoint_state_round_trips_through_the_document_format() {
         // the state section a checkpoint emits must survive the cdst/2
         // writer/parser loop unchanged — otherwise `--resume` from a
@@ -2138,12 +2150,18 @@ mod tests {
         let ctrl = RunControl::new();
         let mut pool = WorkerPool::new();
         let mut seen = Vec::new();
-        let out = router.run_with(&mut pool, &ctrl, &mut |iter, stats| {
-            seen.push((iter, stats.iterations_completed()));
-            if iter == 1 {
-                ctrl.cancel();
-            }
-        });
+        let out = router.run_checkpointed(
+            &mut pool,
+            &ctrl,
+            &mut |iter, stats| {
+                seen.push((iter, stats.iterations_completed()));
+                if iter == 1 {
+                    ctrl.cancel();
+                }
+            },
+            None,
+            &mut |_, _| {},
+        );
         // cancelled after iteration 1: exactly 2 iterations ran, the
         // progress hook saw each one with the stats accumulated so far
         assert!(out.stats.cancelled);
@@ -2164,7 +2182,7 @@ mod tests {
         // cancelling before the run still completes iteration 0
         let pre = RunControl::new();
         pre.cancel();
-        let out = router.run_with(&mut pool, &pre, &mut |_, _| {});
+        let out = router.run_checkpointed(&mut pool, &pre, &mut |_, _| {}, None, &mut |_, _| {});
         assert!(out.stats.cancelled);
         assert_eq!(out.stats.iterations_completed(), 1);
         assert_eq!(out.num_nets(), chip.nets.len());
@@ -2177,8 +2195,7 @@ mod tests {
         let plain = Router::new(&chip, config.clone()).run();
         assert!(!plain.stats.cancelled);
         let mut pool = WorkerPool::new();
-        let controlled =
-            Router::new(&chip, config).run_with(&mut pool, &RunControl::new(), &mut |_, _| {});
+        let controlled = run_on(&Router::new(&chip, config), &mut pool);
         assert_eq!(plain.checksum(), controlled.checksum());
         assert_eq!(plain.stats, controlled.stats);
     }
@@ -2194,17 +2211,9 @@ mod tests {
         let cold_b = Router::new(&chip_b, cfg.clone()).run().checksum();
         let mut pool = WorkerPool::new();
         for round in 0..3 {
-            let a = Router::new(&chip_a, cfg.clone()).run_with(
-                &mut pool,
-                &RunControl::new(),
-                &mut |_, _| {},
-            );
+            let a = run_on(&Router::new(&chip_a, cfg.clone()), &mut pool);
             assert_eq!(a.checksum(), cold_a, "warm round {round} diverged on chip A");
-            let b = Router::new(&chip_b, cfg.clone()).run_with(
-                &mut pool,
-                &RunControl::new(),
-                &mut |_, _| {},
-            );
+            let b = run_on(&Router::new(&chip_b, cfg.clone()), &mut pool);
             assert_eq!(b.checksum(), cold_b, "warm round {round} diverged on chip B");
         }
         assert_eq!(pool.len(), 2, "pool kept its warm workers");

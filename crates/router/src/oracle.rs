@@ -464,18 +464,6 @@ impl SteinerOracle for PdOracle {
     }
 }
 
-/// Runs one oracle with a throwaway workspace (compatibility wrapper;
-/// hot loops should hold an [`OracleWorkspace`] and call
-/// [`SteinerOracle::route`]).
-///
-/// # Panics
-///
-/// Panics on empty sinks or inconsistent slice lengths (the router
-/// guarantees both).
-pub fn route_net(method: SteinerMethod, req: &OracleRequest<'_>) -> EmbeddedTree {
-    method.oracle().route(req, &mut OracleWorkspace::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,7 +497,7 @@ mod tests {
         let w = [1.0, 2.0, 0.5, 4.0];
         let req = request_on(&grid, &c, &d, &sinks, &w);
         for m in SteinerMethod::ALL {
-            let tree = route_net(m, &req);
+            let tree = m.oracle().route(&req, &mut OracleWorkspace::new());
             tree.validate(grid.graph(), sinks.len()).unwrap_or_else(|e| panic!("{m}: {e}"));
             let ev = tree.evaluate(&c, &d, &w, &req.bif);
             assert!(ev.total.is_finite() && ev.total > 0.0, "{m}: objective {}", ev.total);
@@ -527,7 +515,7 @@ mod tests {
         let req = request_on(&grid, &c, &d, &sinks, &w);
         let mut totals = Vec::new();
         for m in SteinerMethod::ALL {
-            let tree = route_net(m, &req);
+            let tree = m.oracle().route(&req, &mut OracleWorkspace::new());
             totals.push(tree.evaluate(&c, &d, &w, &req.bif).total);
         }
         for t in &totals {

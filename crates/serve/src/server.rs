@@ -516,14 +516,20 @@ fn run_job(state: &Arc<State>, id: usize, pool: &mut WorkerPool) {
         let chip = doc.build_chip();
         let router = Router::new(&chip, config.clone());
         let state_for_progress = Arc::clone(state);
-        let outcome = router.run_with(pool, &ctrl, &mut |iter, stats| {
-            let mut jobs = lock(&state_for_progress.jobs);
-            jobs[id].progress.push(IterProgress {
-                iter,
-                rerouted: stats.rerouted_per_iter.last().copied().unwrap_or(0),
-                wall_s: stats.iter_wall_s.last().copied().unwrap_or(0.0),
-            });
-        });
+        let outcome = router.run_checkpointed(
+            pool,
+            &ctrl,
+            &mut |iter, stats| {
+                let mut jobs = lock(&state_for_progress.jobs);
+                jobs[id].progress.push(IterProgress {
+                    iter,
+                    rerouted: stats.rerouted_per_iter.last().copied().unwrap_or(0),
+                    wall_s: stats.iter_wall_s.last().copied().unwrap_or(0.0),
+                });
+            },
+            None,
+            &mut |_, _| {},
+        );
         let json = outcome_json(&chip, &config, &outcome);
         (json, outcome.checksum(), outcome.stats.cancelled)
     }));

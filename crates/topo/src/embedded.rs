@@ -226,12 +226,6 @@ impl EmbeddedTree {
     ) -> Result<(), String> {
         forest::validate_tree(self, g, num_sinks)
     }
-
-    /// Builds an owned tree from a forest [`TreeView`](forest::TreeView)
-    /// (node ids, child order, and edge order preserved).
-    pub fn from_view(view: &forest::TreeView<'_>) -> Self {
-        view.to_embedded()
-    }
 }
 
 impl TreeRead for EmbeddedTree {

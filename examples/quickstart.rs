@@ -4,14 +4,14 @@
 //! Builds a small 3D global routing grid, creates a [`Solver`] session,
 //! and routes a net with a critical and a few non-critical sinks — then
 //! routes a second net through the *same* session to show the
-//! workspace-reuse API (no reallocation, bit-identical results to
-//! fresh-per-call solving).
+//! workspace-reuse API (no reallocation, bit-identical results to a
+//! fresh workspace).
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use cds_core::{GridFutureCost, Request, Solver};
+use cds_core::{GridFutureCost, Request, SessionConfig, Solver};
 use cds_graph::GridSpec;
 use cds_topo::BifurcationConfig;
 
@@ -22,7 +22,7 @@ fn main() {
     let delay = grid.graph().delays();
 
     // one session for all nets: buffers warm up once, then get reused
-    let mut solver = Solver::builder().seed(0x5eed).build();
+    let mut solver = Solver::with_config(SessionConfig { seed: 0x5eed, ..SessionConfig::DEFAULT });
 
     // net 1: root bottom-left, one critical sink (w = 4) far away,
     // three cheap fan-out sinks

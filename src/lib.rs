@@ -15,16 +15,16 @@
 //! # Examples
 //!
 //! The session API: build a [`core::Solver`] once, route many nets over
-//! its reusable workspace (results are bit-identical to fresh-per-call
-//! [`core::solve`]):
+//! its reusable workspace (results are bit-identical to a fresh
+//! workspace per call):
 //!
 //! ```
-//! use cdst::core::{Request, Solver};
+//! use cdst::core::{Request, SessionConfig, Solver};
 //! use cdst::graph::GridSpec;
 //!
 //! let grid = GridSpec::uniform(8, 8, 2).build();
 //! let (c, d) = (grid.graph().base_costs(), grid.graph().delays());
-//! let mut solver = Solver::builder().seed(1).build();
+//! let mut solver = Solver::with_config(SessionConfig { seed: 1, ..SessionConfig::DEFAULT });
 //! for k in 1..4u32 {
 //!     let sinks = [grid.vertex(7, 7, 0), grid.vertex(k, 7, 0)];
 //!     let req = Request::new(grid.graph(), &c, &d, grid.vertex(0, 0, 0), &sinks, &[1.0, 0.5]);

@@ -5,7 +5,7 @@
 //! tests pin that contract, plus the `Send`/`Sync` properties the
 //! parallel router relies on.
 
-use cds_core::{solve, Instance, Request, SolveResult, Solver, SolverOptions};
+use cds_core::{Request, SessionConfig, SolveResult, Solver, SolverWorkspace};
 use cds_graph::{GridGraph, GridSpec};
 use cds_instgen::ChipSpec;
 use cds_router::{Router, RouterConfig, SteinerMethod};
@@ -23,17 +23,10 @@ fn solver_bitwise_deterministic_across_repeats() {
         grid.vertex(1, 1, 0),
     ];
     let weights = [0.3, 1.7, 0.02, 2.4, 0.9];
-    let inst = Instance {
-        graph: grid.graph(),
-        cost: &c,
-        delay: &d,
-        root: grid.vertex(0, 5, 0),
-        sink_vertices: &sinks,
-        weights: &weights,
-        bif: BifurcationConfig::new(4.0, 0.25),
-    };
-    let runs: Vec<_> =
-        (0..3).map(|_| solve(&inst, &SolverOptions { seed: 77, ..Default::default() })).collect();
+    let req = Request::new(grid.graph(), &c, &d, grid.vertex(0, 5, 0), &sinks, &weights)
+        .with_bif(BifurcationConfig::new(4.0, 0.25))
+        .with_seed(77);
+    let runs: Vec<_> = (0..3).map(|_| Solver::new().solve(&req)).collect();
     for r in &runs[1..] {
         assert_eq!(r.evaluation.total.to_bits(), runs[0].evaluation.total.to_bits());
         assert_eq!(r.stats, runs[0].stats);
@@ -50,22 +43,12 @@ fn different_seeds_may_differ_but_stay_valid() {
     let (c, d) = (grid.graph().base_costs(), grid.graph().delays());
     let sinks = [grid.vertex(9, 0, 0), grid.vertex(0, 9, 0), grid.vertex(9, 9, 0)];
     let weights = [1.0, 1.0, 1.0];
-    let inst = Instance {
-        graph: grid.graph(),
-        cost: &c,
-        delay: &d,
-        root: grid.vertex(0, 0, 0),
-        sink_vertices: &sinks,
-        weights: &weights,
-        bif: BifurcationConfig::ZERO,
-    };
+    let req = Request::new(grid.graph(), &c, &d, grid.vertex(0, 0, 0), &sinks, &weights);
+    // re-enable the random endpoint rule
+    let mut solver =
+        Solver::with_config(SessionConfig { better_steiner: false, ..SessionConfig::DEFAULT });
     for seed in 0..12 {
-        let opts = SolverOptions {
-            better_steiner: false, // re-enable the random endpoint rule
-            seed,
-            ..Default::default()
-        };
-        let r = solve(&inst, &opts);
+        let r = solver.solve(&req.with_seed(seed));
         r.tree.validate(grid.graph(), sinks.len()).unwrap();
     }
 }
@@ -119,7 +102,7 @@ fn assert_bit_identical(a: &SolveResult, b: &SolveResult, ctx: &str) {
 #[test]
 fn solver_session_reuse_matches_fresh_per_call_over_100_requests() {
     // the session-API contract: a Solver reused across a long, mixed
-    // request stream is bit-identical to fresh-per-call solve()
+    // request stream is bit-identical to a fresh workspace per call
     let grids = [
         GridSpec::uniform(8, 8, 2).build(),
         GridSpec::uniform(12, 9, 3).build(),
@@ -137,7 +120,7 @@ fn solver_session_reuse_matches_fresh_per_call_over_100_requests() {
         let req = Request::new(grid.graph(), cost, delay, root, sinks, weights)
             .with_bif(*bif)
             .with_seed(*seed);
-        let fresh = solve(&req.instance(), &SolverOptions { seed: *seed, ..Default::default() });
+        let fresh = Solver::solve_with(&SessionConfig::DEFAULT, &mut SolverWorkspace::new(), &req);
         let reused = session.solve(&req);
         assert_bit_identical(&fresh, &reused, &format!("request {n}"));
     }

@@ -1,7 +1,7 @@
 //! Cross-crate exactness checks: the heuristics against the exact
 //! reference algorithms on instances small enough to solve optimally.
 
-use cds_core::{solve, Instance, SolverOptions};
+use cds_core::{Request, Solver};
 use cds_embed::{embed_topology, EmbedEnv};
 use cds_exact::{enumerate_topologies, optimal_cost_distance, steiner_minimal_tree};
 use cds_geom::Point;
@@ -63,16 +63,8 @@ fn cd_two_equal_sinks_near_optimal() {
         let bif = BifurcationConfig::ZERO;
         let env = EmbedEnv { graph: g, cost: &c, delay: &d, bif };
         let (opt, _) = optimal_cost_distance(&env, root, &sinks, &weights);
-        let inst = Instance {
-            graph: g,
-            cost: &c,
-            delay: &d,
-            root,
-            sink_vertices: &sinks,
-            weights: &weights,
-            bif,
-        };
-        let r = solve(&inst, &SolverOptions { seed: trial, ..Default::default() });
+        let req = Request::new(g, &c, &d, root, &sinks, &weights).with_bif(bif).with_seed(trial);
+        let r = Solver::new().solve(&req);
         assert!(
             r.evaluation.total <= 1.35 * opt + 1e-9,
             "trial {trial}: CD {} vs optimum {opt}",

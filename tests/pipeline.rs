@@ -3,7 +3,7 @@
 
 use cds_geom::Point;
 use cds_graph::GridSpec;
-use cds_router::{route_net, OracleRequest, SteinerMethod};
+use cds_router::{OracleRequest, OracleWorkspace, SteinerMethod};
 use cds_topo::BifurcationConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,7 +34,7 @@ fn all_methods_valid_across_sizes_and_penalties() {
                 seed: k as u64,
             };
             for m in SteinerMethod::ALL {
-                let tree = route_net(m, &req);
+                let tree = m.oracle().route(&req, &mut OracleWorkspace::new());
                 tree.validate(grid.graph(), k)
                     .unwrap_or_else(|e| panic!("{m} k={k} dbif={dbif}: {e}"));
                 let ev = tree.evaluate(&cost, &delay, &weights, &bif);
@@ -78,7 +78,7 @@ fn cd_is_competitive_on_the_objective() {
             seed: trial,
         };
         for (i, m) in SteinerMethod::ALL.iter().enumerate() {
-            let tree = route_net(*m, &req);
+            let tree = m.oracle().route(&req, &mut OracleWorkspace::new());
             total[i] += tree.evaluate(&cost, &delay, &weights, &req.bif).total;
         }
     }
@@ -116,7 +116,7 @@ fn congestion_pricing_steers_cd_away() {
         bif: BifurcationConfig::ZERO,
         seed: 1,
     };
-    let tree = route_net(SteinerMethod::Cd, &req);
+    let tree = SteinerMethod::Cd.oracle().route(&req, &mut OracleWorkspace::new());
     let ev = tree.evaluate(&cost, &delay, &[0.5], &BifurcationConfig::ZERO);
     // with a single sink CD is exact: it must pay the wall exactly once
     // (no way around a full-height wall) but never more

@@ -100,9 +100,13 @@ fn harvested_instances_replay_identically() {
         Router::new(&chip, RouterConfig { iterations: 2, harvest: true, ..Default::default() });
     let out = router.run();
     let bif = router.bif();
+    let replay = |net: usize, weights: &[f64]| {
+        let (oracle, ws) = (SteinerMethod::Cd.oracle(), &mut OracleWorkspace::new());
+        router.route_one_with(net, oracle, &out.prices, weights, None, bif, ws)
+    };
     for h in out.harvest.iter().take(5) {
-        let a = router.route_one(h.net, SteinerMethod::Cd, &out.prices, &h.weights, None, bif);
-        let b = router.route_one(h.net, SteinerMethod::Cd, &out.prices, &h.weights, None, bif);
+        let a = replay(h.net, &h.weights);
+        let b = replay(h.net, &h.weights);
         assert_eq!(a.1, b.1, "objective must replay deterministically");
         assert_eq!(a.0.used_edges, b.0.used_edges);
     }
