@@ -8,7 +8,7 @@
 //! struct-of-arrays slabs of [`RoutedForest`] — on warm buffers a
 //! routed net touches the allocator O(1) times, not O(nodes).
 //!
-//! This bench routes the `kernel` bench's exact workload (120 nets × 3
+//! This bench routes one small workload (120 nets × 3
 //! rip-up iterations, one worker, zero-copy window views) through both
 //! paths — the stock arena path, and a wrapper oracle that forces the
 //! owned-tree `route_into` fallback ("fresh") — asserts the outcomes
@@ -68,7 +68,6 @@ const PR2_ALLOCS_PER_NET: f64 = 89.4;
 const ITERATIONS: usize = 3;
 
 fn build_chip() -> Chip {
-    // identical workload to the `kernel` bench
     ChipSpec { num_nets: 120, ..ChipSpec::small_test(7) }.generate()
 }
 

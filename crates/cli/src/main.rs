@@ -167,7 +167,8 @@ fn preset_spec(name: &str) -> Result<ChipSpec, String> {
         // enough for real congestion
         "smoke" => ChipSpec { name: "smoke".into(), num_nets: 40, ..ChipSpec::small_test(44) },
         "small" => ChipSpec::small_test(1),
-        // the converging chip the `incremental` bench measures
+        // a converging chip (utilization below the hard-congestion
+        // regime): the dirty-net scheduler's showcase
         "converging" => ChipSpec {
             name: "converging".into(),
             num_nets: 300,
@@ -289,8 +290,9 @@ fn build_config(records: &[(String, String)], flags: &Flags) -> Result<RouterCon
 /// Routes a streamed document, honoring `--resume` (continue from the
 /// document's `state` section) and `--checkpoint FILE` (write each
 /// periodic checkpoint as a complete, immediately resumable `cdst/2`
-/// document — later checkpoints overwrite earlier ones, so the file
-/// always holds the most recent resume point).
+/// document — later checkpoints replace earlier ones atomically
+/// ([`write_atomic`]), so the file always holds the most recent
+/// complete resume point).
 fn route_streamed(
     sc: &StreamedChip,
     flags: &Flags,
@@ -326,7 +328,7 @@ fn route_streamed(
                     doc.state = Some(state);
                     chip_doc_to_string(&doc).map_err(|e| e.to_string())
                 })
-                .and_then(|text| std::fs::write(path, text).map_err(|e| format!("{path}: {e}")));
+                .and_then(|text| write_atomic(path, text.as_bytes()));
             if let Err(e) = res {
                 write_err = Some(e);
             }
@@ -596,13 +598,65 @@ fn emit(path: Option<&str>, text: &str) -> Result<(), String> {
         None | Some("-") => {
             std::io::stdout().write_all(text.as_bytes()).map_err(|e| format!("stdout: {e}"))
         }
-        Some(p) => std::fs::write(p, text).map_err(|e| format!("{p}: {e}")),
+        Some(p) => write_atomic(p, text.as_bytes()),
     }
+}
+
+/// Replaces the file at `path` with `bytes` so that a reader — or a
+/// `--resume` after a kill or a full disk mid-write — sees the complete
+/// old contents or the complete new ones, never a torn file: the bytes
+/// go to a sibling temp file (same directory, hence same filesystem),
+/// are synced, and only then renamed over `path`. An existing target
+/// that is not a regular file (`/dev/stdout`, a FIFO) is written in
+/// place — renaming over it would replace the device node.
+fn write_atomic(path: &str, bytes: &[u8]) -> Result<(), String> {
+    let target = std::path::Path::new(path);
+    if target.metadata().is_ok_and(|m| !m.is_file()) {
+        return std::fs::write(target, bytes).map_err(|e| format!("{path}: {e}"));
+    }
+    let tmp = std::path::PathBuf::from(format!("{path}.tmp{}", std::process::id()));
+    let replace = || -> std::io::Result<()> {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, target)
+    };
+    replace().map_err(|e| {
+        // best effort: the write already failed, and that is the error
+        // worth reporting
+        let _ = std::fs::remove_file(&tmp);
+        format!("{path}: {e}")
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_atomic_replaces_whole_files_and_a_failed_write_keeps_the_old_one() {
+        let dir = std::env::temp_dir().join(format!("cds-cli-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cp.cdst");
+        let path = path.to_str().unwrap();
+        write_atomic(path, b"first").unwrap();
+        write_atomic(path, b"second, longer").unwrap();
+        assert_eq!(std::fs::read(path).unwrap(), b"second, longer");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "a temp sibling was left behind");
+
+        // the temp file cannot be created: the checkpoint that stood
+        // there is untouched and the error names the target
+        let blocker = format!("{path}.tmp{}", std::process::id());
+        std::fs::create_dir(&blocker).unwrap();
+        let err = write_atomic(path, b"third").unwrap_err();
+        assert!(err.starts_with(path), "{err}");
+        assert_eq!(std::fs::read(path).unwrap(), b"second, longer");
+
+        // so does a target whose directory is gone
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = write_atomic(path, b"fourth").unwrap_err();
+        assert!(err.starts_with(path), "{err}");
+    }
 
     #[test]
     fn a_local_route_and_a_submission_resolve_the_same_config() {

@@ -194,6 +194,14 @@ fn bad_knobs_exit_2_naming_the_knob_instead_of_panicking() {
     assert!(err.contains("bad value nan for weight_tau_ps"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
 
+    // Regression: zero iterations exited 0 with an unrouted chip's
+    // metrics and a checksum.
+    let out = pipe_stdin(bin().args(["route", "-", "--iterations", "0"]), &doc);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("bad value 0 for iterations (want an integer >= 1)"), "{err}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+
     // the knobs of the deleted route paths are unknown — on the command
     // line and as a document `config` record alike
     let out = pipe_stdin(bin().args(["route", "-", "--set", "queue=heap"]), &doc);
@@ -249,6 +257,30 @@ fn resume_across_incremental_modes_errors_or_works_but_never_panics() {
     let cp_inc = tmp("resume_modes_inc.cdst");
     checkpointed("true", &cp_inc);
     run_ok(bin().arg("route").arg(&cp_inc).args(["--resume", "--incremental", "false"]));
+}
+
+#[test]
+fn every_checkpoint_overwrite_leaves_a_complete_resumable_document() {
+    let dir = tmp("atomic_checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (doc, cp) = (dir.join("chip.cdst"), dir.join("cp.cdst"));
+    run_ok(bin().args(["gen", "--preset", "small", "--nets", "15", "-o"]).arg(&doc));
+    // four checkpoints, each replacing the last
+    let full = run_ok(
+        bin()
+            .arg("route")
+            .arg(&doc)
+            .args(["--iterations", "5", "--set", "checkpoint_every=1", "--checkpoint"])
+            .arg(&cp),
+    );
+    let mut left: Vec<_> =
+        std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    left.sort();
+    assert_eq!(left, ["chip.cdst", "cp.cdst"], "a temp sibling was left behind");
+    let resumed = run_ok(bin().arg("route").arg(&cp).arg("--resume"));
+    assert_eq!(json_field(&resumed, "checksum"), json_field(&full, "checksum"));
+    assert_eq!(json_field(&resumed, "iterations_completed"), "5");
 }
 
 #[test]

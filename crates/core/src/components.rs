@@ -144,7 +144,7 @@ pub struct CompScratch {
     /// Raw tree delays from the last [`Component::tree_delays_into`].
     pub delay: VertexTable<f64>,
     /// Weighted exit prices from the last
-    /// [`Component::weighted_exit_delay_into`].
+    /// [`Component::weighted_exit_delay_prebuilt`].
     pub exit: VertexTable<f64>,
     heap: BinaryHeap<Reverse<(OrderedF64, VertexId)>>,
     parent: VertexTable<VertexId>,
@@ -241,21 +241,10 @@ impl Component {
     /// — the exit prices used to seed restarted searches under §III-A.
     /// For a singleton sink component it is `w·d_tree(y, sink)`, the
     /// paper's original seeding.
-    pub fn weighted_exit_delay_into<G: SteinerGraph + ?Sized>(
-        &self,
-        g: &G,
-        d: &[f64],
-        scratch: &mut CompScratch,
-    ) {
-        scratch.adj.build(&self.edges, g);
-        self.weighted_exit_delay_prebuilt(d, scratch);
-    }
-
-    /// [`weighted_exit_delay_into`](Self::weighted_exit_delay_into)
-    /// assuming `scratch.adj` was already built for this component's
-    /// edges (e.g. by an immediately preceding
-    /// [`tree_delays_into`](Self::tree_delays_into)), skipping the
-    /// redundant rebuild.
+    ///
+    /// Assumes `scratch.adj` was already built for this component's
+    /// edges by an immediately preceding
+    /// [`tree_delays_into`](Self::tree_delays_into).
     pub fn weighted_exit_delay_prebuilt(&self, d: &[f64], scratch: &mut CompScratch) {
         scratch.exit.clear();
         for &(q, w) in &self.sinks {
@@ -432,7 +421,8 @@ mod tests {
         let mut comp = Component::singleton(0, vec![(0, 1.0)]);
         comp.absorb(&mut Component::singleton(3, vec![(3, 3.0)]), &[0, 1, 2], &g);
         let mut s = CompScratch::default();
-        comp.weighted_exit_delay_into(&g, &d, &mut s);
+        comp.tree_delays_into(&g, &d, 0, &mut s);
+        comp.weighted_exit_delay_prebuilt(&d, &mut s);
         // exit at 0: 1*0 + 3*3 = 9; at 3: 1*3 + 3*0 = 3; at 2: 1*2 + 3*1 = 5
         assert_eq!(s.exit.get_or(0, 0.0), 9.0);
         assert_eq!(s.exit.get_or(3, 0.0), 3.0);

@@ -85,21 +85,9 @@ impl Search {
         self.seed_raw_delay.clear();
     }
 
-    /// Walks parents from `to` back to a seed. Returns the edges in
-    /// seed→`to` order together with the seed vertex.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` was never labelled.
-    pub fn extract_path(&self, to: VertexId) -> (Vec<EdgeId>, VertexId) {
-        let mut edges = Vec::new();
-        let seed = self.extract_path_into(to, &mut edges);
-        (edges, seed)
-    }
-
-    /// [`extract_path`](Self::extract_path) into a caller-owned buffer
-    /// (cleared first), returning the seed vertex — the allocation-free
-    /// path of the merge loop.
+    /// Walks parents from `to` back to a seed: the edges in seed→`to`
+    /// order into a caller-owned buffer (cleared first), returning the
+    /// seed vertex — the allocation-free path of the merge loop.
     ///
     /// # Panics
     ///
@@ -120,20 +108,8 @@ impl Search {
     }
 
     /// The vertex sequence of a seed→`to` path returned by
-    /// [`extract_path`](Self::extract_path), starting at the seed.
-    pub fn path_vertices<G: SteinerGraph + ?Sized>(
-        &self,
-        graph: &G,
-        edges: &[EdgeId],
-        seed: VertexId,
-    ) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(edges.len() + 1);
-        self.path_vertices_into(graph, edges, seed, &mut out);
-        out
-    }
-
-    /// [`path_vertices`](Self::path_vertices) into a caller-owned buffer
-    /// (cleared first).
+    /// [`extract_path_into`](Self::extract_path_into), starting at the
+    /// seed, into a caller-owned buffer (cleared first).
     pub fn path_vertices_into<G: SteinerGraph + ?Sized>(
         &self,
         graph: &G,
@@ -161,12 +137,11 @@ mod tests {
         s.labels.insert(7, Label::seed(0.0));
         s.labels.insert(8, Label { dist: 1.0, parent: (7, 100), settled: false });
         s.labels.insert(9, Label { dist: 2.0, parent: (8, 101), settled: false });
-        let (edges, seed) = s.extract_path(9);
+        let mut edges = vec![55];
+        assert_eq!(s.extract_path_into(9, &mut edges), 7);
         assert_eq!(edges, vec![100, 101]);
-        assert_eq!(seed, 7);
-        let (edges, seed) = s.extract_path(7);
+        assert_eq!(s.extract_path_into(7, &mut edges), 7);
         assert!(edges.is_empty());
-        assert_eq!(seed, 7);
     }
 
     #[test]

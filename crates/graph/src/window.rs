@@ -38,8 +38,8 @@ pub fn window_bounds(points: &[Point], margin: u32, nx: u32, ny: u32) -> (u32, u
     (
         x0.saturating_sub(margin),
         y0.saturating_sub(margin),
-        (x1 + margin).min(nx - 1),
-        (y1 + margin).min(ny - 1),
+        x1.saturating_add(margin).min(nx - 1),
+        y1.saturating_add(margin).min(ny - 1),
     )
 }
 
@@ -258,6 +258,17 @@ mod tests {
         assert_eq!(v.origin(), (0, 0));
         assert_eq!(v.dims(), (5, 5));
         assert_eq!(v.num_vertices(), grid.graph().num_vertices());
+    }
+
+    #[test]
+    fn a_margin_beyond_u32_saturates_to_the_whole_die() {
+        // `window_margin` arrives from flags, `config` records and
+        // query strings: `x1 + margin` used to wrap (release) or
+        // overflow-panic (debug)
+        let p = [Point::new(7, 3)];
+        for margin in [u32::MAX, u32::MAX - 5] {
+            assert_eq!(window_bounds(&p, margin, 9, 5), (0, 0, 8, 4));
+        }
     }
 
     #[test]

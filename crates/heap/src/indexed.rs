@@ -5,7 +5,7 @@
 //!
 //! * [`IndexedBinaryHeap`] uses a dense `Vec` — right for single-source
 //!   Dijkstra over dense vertex ids (embedding, landmarks, baselines);
-//! * [`StampedIndexedHeap`] uses a dense `Vec` with epoch stamps — the
+//! * [`TieStampedIndexedHeap`] uses a dense `Vec` with epoch stamps — the
 //!   per-sink sub-heaps of [`TwoLevelHeap`](crate::TwoLevelHeap): ids are
 //!   the solver's compact window-local vertex ids, slabs grow on demand
 //!   and stay warm across pooled reuse, and `clear` is one epoch bump
@@ -136,24 +136,11 @@ pub struct RawIndexedHeap<M: PositionMap, const TIE: bool = false> {
 /// ```
 pub type IndexedBinaryHeap = RawIndexedHeap<DensePos>;
 
-/// Epoch-stamped dense-id binary min-heap with decrease-key; the
-/// per-sink sub-heaps of [`TwoLevelHeap`](crate::TwoLevelHeap). Ids are
-/// the solver's compact vertex ids; slabs grow on demand and `clear` is
-/// `O(1)`.
-///
-/// ```
-/// use cds_heap::StampedIndexedHeap;
-/// let mut h = StampedIndexedHeap::new(0);
-/// h.push(7, 2.0); // slabs grow on demand
-/// h.clear(); // O(1): epoch bump
-/// h.push(7, 1.0);
-/// assert_eq!(h.pop(), Some((7, 1.0)));
-/// ```
-pub type StampedIndexedHeap = RawIndexedHeap<StampedPos>;
-
-/// [`StampedIndexedHeap`] with the total `(key, id)` order: equal-key
-/// pops drain in ascending id order instead of heap-structural order.
-/// Backs the per-search sub-heaps of
+/// Epoch-stamped dense-id binary min-heap with decrease-key and the
+/// total `(key, id)` order: equal-key pops drain in ascending id order
+/// instead of heap-structural order. Ids are the solver's compact
+/// vertex ids; slabs grow on demand and `clear` is `O(1)` (an epoch
+/// bump). Backs the per-search sub-heaps of
 /// [`TwoLevelHeap`](crate::TwoLevelHeap), where the pop sequence is
 /// pinned by the cross-queue determinism contract (see
 /// [`BucketQueue`](crate::BucketQueue)).
@@ -382,7 +369,7 @@ mod tests {
         #[test]
         fn matches_reference(ops in proptest::collection::vec((0u32..64, 0.0f64..100.0), 1..200)) {
             reference_run(IndexedBinaryHeap::new(64), ops.clone());
-            reference_run(StampedIndexedHeap::new(0), ops);
+            reference_run(RawIndexedHeap::<StampedPos>::new(0), ops);
         }
 
         /// The tie-ordered variant pops in exact `(key, id)` order, not

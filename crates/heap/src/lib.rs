@@ -47,7 +47,7 @@ pub mod ordered;
 pub mod two_level;
 
 pub use bucket::BucketQueue;
-pub use indexed::{IndexedBinaryHeap, StampedIndexedHeap, TieStampedIndexedHeap};
+pub use indexed::{IndexedBinaryHeap, TieStampedIndexedHeap};
 pub use lazy::LazyHeap;
 pub use ordered::OrderedF64;
 pub use two_level::TwoLevelHeap;

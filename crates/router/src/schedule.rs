@@ -123,9 +123,7 @@ impl DirtyTracker {
             .nets
             .iter()
             .map(|net| {
-                pins.clear();
-                pins.push(net.root);
-                pins.extend_from_slice(&net.sinks);
+                crate::dispatch::net_pins(net, &mut pins);
                 cds_graph::window_bounds(&pins, window_margin, nx, ny)
             })
             .collect();
@@ -142,6 +140,13 @@ impl DirtyTracker {
             prev_prices: Vec::new(),
             plane: vec![0.0; (nx * ny) as usize],
         }
+    }
+
+    /// The window rectangle `(x0, y0, x1, y1)` whose prices net `i`'s
+    /// drift watches.
+    #[cfg(test)]
+    pub(crate) fn rect(&self, i: usize) -> (u32, u32, u32, u32) {
+        self.rects[i]
     }
 
     /// Records the first iteration's price vector (nothing to diff yet).

@@ -410,6 +410,12 @@ fn unknown_query_knob_is_rejected_up_front() {
         client::request(&addr, "POST", "/jobs?weight_tau_ps=nan", smoke_doc().as_bytes()).unwrap();
     assert_eq!(resp.status, 400);
     assert!(resp.text().contains("bad value nan for weight_tau_ps"), "{}", resp.text());
+    // Regression: zero iterations route nothing; the unrouted result
+    // would have been cached as `done`.
+    let resp =
+        client::request(&addr, "POST", "/jobs?iterations=0", smoke_doc().as_bytes()).unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.text().contains("bad value 0 for iterations"), "{}", resp.text());
     assert_eq!(health(&addr, "jobs"), 0, "a rejected submission must not become a job");
     handle.shutdown();
 }

@@ -938,21 +938,6 @@ impl<'a> TreeView<'a> {
         validate_tree(self, g, num_sinks)
     }
 
-    /// Materializes this view as an owned [`EmbeddedTree`] (the compat
-    /// bridge for callers that need ownership).
-    pub fn to_embedded(&self) -> EmbeddedTree {
-        let mut t = EmbeddedTree::new(self.vertex(0));
-        for v in 1..self.num_nodes() as NodeId {
-            t.add_node(
-                self.node_kind(v),
-                self.vertex(v),
-                self.parent(v).expect("non-root nodes have parents"),
-                self.path_edges(v).to_vec(),
-            );
-        }
-        t
-    }
-
     #[inline]
     fn abs(&self, v: NodeId) -> usize {
         debug_assert!(v < self.meta.node_count, "node {v} out of range");
@@ -1075,9 +1060,6 @@ mod tests {
         let a = tree.evaluate(&c, &d, &w, &bif);
         let b = v.evaluate(&c, &d, &w, &bif);
         assert_eq!(a, b, "owned and view evaluations must be bit-identical");
-        // round-trip through to_embedded
-        let back = v.to_embedded();
-        assert_eq!(back.evaluate(&c, &d, &w, &bif), a);
     }
 
     #[test]
