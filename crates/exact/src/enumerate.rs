@@ -10,7 +10,7 @@
 //! Feasible up to `k ≈ 6` (945 shapes) — exactly what the approximation
 //! ratio property tests need.
 
-use cds_embed::{embed_topology, EmbedEnv};
+use cds_embed::{EmbedEnv, EmbedWorkspace};
 use cds_geom::Point;
 use cds_graph::VertexId;
 use cds_topo::{EmbeddedTree, NodeId, Topology};
@@ -97,8 +97,9 @@ pub fn optimal_cost_distance(
     weights: &[f64],
 ) -> (f64, EmbeddedTree) {
     let mut best: Option<(f64, EmbeddedTree)> = None;
+    let mut ws = EmbedWorkspace::new();
     for topo in enumerate_topologies(sink_vertices.len()) {
-        let tree = embed_topology(env, &topo, root_vertex, sink_vertices, weights);
+        let tree = ws.embed(env, &topo, root_vertex, sink_vertices, weights);
         let val = tree.evaluate(env.cost, env.delay, weights, &env.bif).total;
         if best.as_ref().is_none_or(|(b, _)| val < *b) {
             best = Some((val, tree));

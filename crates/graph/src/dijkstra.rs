@@ -1,9 +1,11 @@
 //! Single- and multi-source Dijkstra labelling.
 //!
-//! These routines back the topology embedding DP (`cds-embed`), landmark
-//! future costs, the exact reference algorithms (`cds-exact`), and a pile
-//! of tests. The core algorithm of the paper (`cds-core`) has its own
-//! specialised simultaneous search and does not use this module.
+//! These routines back the exact reference algorithms (`cds-exact`) and
+//! a pile of tests, among them the reference DP that `cds-embed`'s
+//! kernel is held to bit for bit. Neither the core algorithm of the
+//! paper (`cds-core`, a specialised simultaneous search) nor the
+//! embedding kernel (a window-adjacency Dijkstra of its own) uses this
+//! module on the routing path.
 
 use crate::graph::{EdgeId, VertexId};
 use crate::steiner::SteinerGraph;

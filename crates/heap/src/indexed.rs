@@ -9,7 +9,7 @@
 //!   per-sink sub-heaps of [`TwoLevelHeap`](crate::TwoLevelHeap): ids are
 //!   the solver's compact window-local vertex ids, slabs grow on demand
 //!   and stay warm across pooled reuse, and `clear` is one epoch bump
-//!   instead of an `O(n)` wipe.
+//!   instead of a wipe of the queued ids.
 
 /// Maps an id to its index in the heap array.
 ///
@@ -24,8 +24,9 @@ pub trait PositionMap: Default {
     fn set(&mut self, id: u32, p: u32);
     /// Forgets `id`.
     fn remove(&mut self, id: u32);
-    /// Forgets everything.
-    fn clear(&mut self);
+    /// Forgets everything; `queued` is the heap array, so a map may
+    /// clear just the ids it holds.
+    fn clear(&mut self, queued: &[(f64, u32)]);
 }
 
 /// Dense position map backed by a `Vec<u32>`.
@@ -50,8 +51,13 @@ impl PositionMap for DensePos {
     fn remove(&mut self, id: u32) {
         self.0[id as usize] = NOT_IN_HEAP;
     }
-    fn clear(&mut self) {
-        self.0.fill(NOT_IN_HEAP);
+    /// `O(len)`, not `O(capacity)`: a search stopped early leaves its
+    /// frontier queued, and the slab is as large as the largest id
+    /// space ever seen.
+    fn clear(&mut self, queued: &[(f64, u32)]) {
+        for &(_, id) in queued {
+            self.0[id as usize] = NOT_IN_HEAP;
+        }
     }
 }
 
@@ -96,7 +102,7 @@ impl PositionMap for StampedPos {
         // 0 is never a live epoch (epochs start at 1)
         self.stamp[id as usize] = 0;
     }
-    fn clear(&mut self) {
+    fn clear(&mut self, _queued: &[(f64, u32)]) {
         if self.epoch == u32::MAX {
             self.stamp.fill(0);
             self.epoch = 1;
@@ -165,9 +171,7 @@ impl<M: PositionMap, const TIE: bool> RawIndexedHeap<M, TIE> {
     /// Whether entry `a` sorts strictly before entry `b`: by key, with
     /// the id tie-break iff `TIE`.
     #[inline]
-    fn before(&self, a: usize, b: usize) -> bool {
-        let (ka, ia) = self.heap[a];
-        let (kb, ib) = self.heap[b];
+    fn before((ka, ia): (f64, u32), (kb, ib): (f64, u32)) -> bool {
         if TIE {
             (ka, ia) < (kb, ib)
         } else {
@@ -212,7 +216,6 @@ impl<M: PositionMap, const TIE: bool> RawIndexedHeap<M, TIE> {
         match self.pos.get(id) {
             None => {
                 self.heap.push((key, id));
-                self.pos.set(id, (self.heap.len() - 1) as u32);
                 self.sift_up(self.heap.len() - 1);
                 true
             }
@@ -239,7 +242,6 @@ impl<M: PositionMap, const TIE: bool> RawIndexedHeap<M, TIE> {
         let (key, id) = self.heap.swap_remove(0);
         self.pos.remove(id);
         if !self.heap.is_empty() {
-            self.pos.set(self.heap[0].1, 0);
             self.sift_down(0);
         }
         Some((id, key))
@@ -247,44 +249,59 @@ impl<M: PositionMap, const TIE: bool> RawIndexedHeap<M, TIE> {
 
     /// Removes every element. Keeps the capacity.
     pub fn clear(&mut self) {
-        self.pos.clear();
+        self.pos.clear(&self.heap);
         self.heap.clear();
     }
 
+    // Both sifts move a *hole*: the sifted entry is held aside, each
+    // entry it passes moves one level (one array write, one position
+    // write), and the entry and its position are written once at the
+    // end. The comparisons and child choices are those of the textbook
+    // swap-per-level form, so the array, the position map and every
+    // tie order come out identical (the `hole_sifting_matches_swap_form`
+    // proptest holds the two side by side).
+
+    /// Sifts the entry at `i` up and records the final position of every
+    /// entry it moved — including its own, so a fresh push need not.
     fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.before(i, parent) {
-                self.swap(i, parent);
-                i = parent;
-            } else {
+            let above = self.heap[parent];
+            if !Self::before(entry, above) {
                 break;
             }
+            self.heap[i] = above;
+            self.pos.set(above.1, i as u32);
+            i = parent;
         }
+        self.heap[i] = entry;
+        self.pos.set(entry.1, i as u32);
     }
 
+    /// Sifts the entry at `i` down (smaller child first, the left one
+    /// on ties) and records the final position of every entry it moved.
     fn sift_down(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        let len = self.heap.len();
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < self.heap.len() && self.before(l, smallest) {
-                smallest = l;
+            let (mut child, mut smallest) = (i, entry);
+            if l < len && Self::before(self.heap[l], smallest) {
+                (child, smallest) = (l, self.heap[l]);
             }
-            if r < self.heap.len() && self.before(r, smallest) {
-                smallest = r;
+            if r < len && Self::before(self.heap[r], smallest) {
+                (child, smallest) = (r, self.heap[r]);
             }
-            if smallest == i {
+            if child == i {
                 break;
             }
-            self.swap(i, smallest);
-            i = smallest;
+            self.heap[i] = smallest;
+            self.pos.set(smallest.1, i as u32);
+            i = child;
         }
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos.set(self.heap[a].1, a as u32);
-        self.pos.set(self.heap[b].1, b as u32);
+        self.heap[i] = entry;
+        self.pos.set(entry.1, i as u32);
     }
 
     #[cfg(test)]
@@ -361,6 +378,161 @@ mod tests {
         want.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
         got.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
         assert_eq!(got, want);
+    }
+
+    /// The textbook swap-per-level heap the hole sifts replaced, kept as
+    /// their reference: every level swaps two entries and writes both
+    /// positions.
+    struct SwapHeap<const TIE: bool> {
+        heap: Vec<(f64, u32)>,
+        pos: Vec<Option<u32>>,
+    }
+
+    impl<const TIE: bool> SwapHeap<TIE> {
+        fn new(ids: usize) -> Self {
+            SwapHeap { heap: Vec::new(), pos: vec![None; ids] }
+        }
+
+        fn before(&self, a: usize, b: usize) -> bool {
+            let (ka, ia) = self.heap[a];
+            let (kb, ib) = self.heap[b];
+            if TIE {
+                (ka, ia) < (kb, ib)
+            } else {
+                ka < kb
+            }
+        }
+
+        fn push(&mut self, id: u32, key: f64) -> bool {
+            match self.pos[id as usize] {
+                None => {
+                    self.heap.push((key, id));
+                    self.pos[id as usize] = Some((self.heap.len() - 1) as u32);
+                    self.sift_up(self.heap.len() - 1);
+                    true
+                }
+                Some(p) if key < self.heap[p as usize].0 => {
+                    self.heap[p as usize].0 = key;
+                    self.sift_up(p as usize);
+                    true
+                }
+                Some(_) => false,
+            }
+        }
+
+        fn pop(&mut self) -> Option<(u32, f64)> {
+            if self.heap.is_empty() {
+                return None;
+            }
+            let (key, id) = self.heap.swap_remove(0);
+            self.pos[id as usize] = None;
+            if !self.heap.is_empty() {
+                self.pos[self.heap[0].1 as usize] = Some(0);
+                self.sift_down(0);
+            }
+            Some((id, key))
+        }
+
+        fn clear(&mut self) {
+            self.pos.fill(None);
+            self.heap.clear();
+        }
+
+        fn sift_up(&mut self, mut i: usize) {
+            while i > 0 {
+                let parent = (i - 1) / 2;
+                if self.before(i, parent) {
+                    self.swap(i, parent);
+                    i = parent;
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn sift_down(&mut self, mut i: usize) {
+            loop {
+                let (l, r) = (2 * i + 1, 2 * i + 2);
+                let mut smallest = i;
+                if l < self.heap.len() && self.before(l, smallest) {
+                    smallest = l;
+                }
+                if r < self.heap.len() && self.before(r, smallest) {
+                    smallest = r;
+                }
+                if smallest == i {
+                    break;
+                }
+                self.swap(i, smallest);
+                i = smallest;
+            }
+        }
+
+        fn swap(&mut self, a: usize, b: usize) {
+            self.heap.swap(a, b);
+            self.pos[self.heap[a].1 as usize] = Some(a as u32);
+            self.pos[self.heap[b].1 as usize] = Some(b as u32);
+        }
+    }
+
+    const SWAP_IDS: u32 = 48;
+
+    /// Replays `ops` on `h` and on the swap form side by side: op `0..8`
+    /// pops, `8` clears, anything else pushes (`id`, `key`). After every
+    /// operation the return values, the heap arrays and the position of
+    /// every id must agree.
+    fn replay_against_swap_form<M: PositionMap, const TIE: bool>(
+        mut h: RawIndexedHeap<M, TIE>,
+        ops: &[(u8, u32, f64)],
+    ) {
+        let mut reference = SwapHeap::<TIE>::new(SWAP_IDS as usize);
+        let same_state = |h: &RawIndexedHeap<M, TIE>, r: &SwapHeap<TIE>| {
+            assert_eq!(h.heap, r.heap, "heap array");
+            for id in 0..SWAP_IDS {
+                assert_eq!(h.pos.get(id), r.pos[id as usize], "position of id {id}");
+            }
+        };
+        for &(op, id, key) in ops {
+            match op {
+                0..=7 => assert_eq!(h.pop(), reference.pop(), "pop"),
+                8 => {
+                    h.clear();
+                    reference.clear();
+                }
+                _ => assert_eq!(h.push(id, key), reference.push(id, key), "push({id}, {key})"),
+            }
+            same_state(&h, &reference);
+        }
+        while let Some(got) = h.pop() {
+            assert_eq!(Some(got), reference.pop(), "drain");
+            same_state(&h, &reference);
+        }
+        assert!(reference.heap.is_empty());
+    }
+
+    proptest! {
+        /// Hole sifting against the swap form, under floods of equal
+        /// keys (three distinct values, so almost every comparison is a
+        /// tie and the untied variant's order is pure heap structure):
+        /// same pops, same array, same position map, after every step.
+        #[test]
+        fn hole_sifting_matches_swap_form_under_equal_key_floods(
+            ops in collection::vec((0u8..32, 0u32..SWAP_IDS, 0u8..3), 1..400),
+        ) {
+            let ops: Vec<(u8, u32, f64)> =
+                ops.into_iter().map(|(op, id, k)| (op, id, f64::from(k))).collect();
+            replay_against_swap_form(IndexedBinaryHeap::new(SWAP_IDS as usize), &ops);
+            replay_against_swap_form(TieStampedIndexedHeap::new(0), &ops);
+        }
+
+        /// The same with spread-out keys, where decrease-keys sift far.
+        #[test]
+        fn hole_sifting_matches_swap_form_on_distinct_keys(
+            ops in collection::vec((0u8..32, 0u32..SWAP_IDS, 0.0f64..100.0), 1..400),
+        ) {
+            replay_against_swap_form(IndexedBinaryHeap::new(SWAP_IDS as usize), &ops);
+            replay_against_swap_form(TieStampedIndexedHeap::new(0), &ops);
+        }
     }
 
     proptest! {

@@ -24,7 +24,7 @@
 
 use cds_baselines::{prim_dijkstra, shallow_light, PlaneCostModel, SlParams};
 use cds_core::{GridFutureCost, Request, SessionConfig, SolveStats, Solver, SolverWorkspace};
-use cds_embed::{embed_topology, EmbedEnv};
+use cds_embed::{EmbedEnv, EmbedWorkspace};
 use cds_geom::Point;
 use cds_graph::{RoutingSurface, VertexId};
 use cds_rsmt::rsmt_topology;
@@ -150,27 +150,19 @@ impl std::fmt::Debug for OracleRequest<'_> {
     }
 }
 
-impl<'a> OracleRequest<'a> {
-    /// Root and sinks as vertices of the routing surface.
-    fn vertices(&self) -> (VertexId, Vec<VertexId>) {
-        let root = self.surface.vertex_at(self.root);
-        let sinks = self.sinks.iter().map(|&p| self.surface.vertex_at(p)).collect();
-        (root, sinks)
-    }
-}
-
 /// Reusable per-worker scratch for oracle calls.
 ///
-/// Holds the CD solver's [`SolverWorkspace`] plus the per-net scratch
-/// of the CD oracle itself (future-cost plane buffer, vertex lists);
-/// the plane-topology baselines are allocation-light and currently keep
-/// no scratch, but the workspace still travels through their calls so
-/// the interface stays uniform (and so future baselines can add reuse
-/// without an API break).
+/// Holds the CD solver's [`SolverWorkspace`], the embedding DP's
+/// [`EmbedWorkspace`] that the plane-topology baselines (L1, SL, PD)
+/// embed through, and the per-net scratch of the oracles themselves
+/// (future-cost plane buffer, vertex lists). A warm workspace solves
+/// or embeds a net without growing any of them.
 #[derive(Debug, Default)]
 pub struct OracleWorkspace {
     /// The cost-distance solver's session workspace.
     pub solver: SolverWorkspace,
+    /// The embedding DP's window adjacency, label rows and heap.
+    embed: EmbedWorkspace,
     /// Recycled plane buffer for [`GridFutureCost`].
     plane: Vec<std::sync::atomic::AtomicU32>,
     /// Recycled sink-vertex list.
@@ -385,14 +377,22 @@ impl CdOracle {
     }
 }
 
-/// Shared tail of the three plane-topology baselines: the per-unit cost
-/// model and the optimal embedding (directly over the surface).
-fn embed_plane_topology(req: &OracleRequest<'_>, topo: &Topology) -> EmbeddedTree {
-    let (root, sinks) = req.vertices();
+/// Shared tail of the three plane-topology baselines: the optimal
+/// embedding (directly over the surface, on the workspace's warm
+/// embedding buffers).
+fn embed_plane_topology(
+    req: &OracleRequest<'_>,
+    topo: &Topology,
+    ws: &mut OracleWorkspace,
+) -> EmbeddedTree {
+    let root = req.surface.vertex_at(req.root);
+    ws.sinks.clear();
+    ws.sinks.extend(req.sinks.iter().map(|&p| req.surface.vertex_at(p)));
     let env = EmbedEnv { graph: req.surface, cost: req.cost, delay: req.delay, bif: req.bif };
-    embed_topology(&env, topo, root, &sinks, req.weights)
+    ws.embed.embed(&env, topo, root, &ws.sinks, req.weights)
 }
 
+/// The per-unit plane cost model the baselines build topologies under.
 fn plane_model(req: &OracleRequest<'_>) -> PlaneCostModel {
     PlaneCostModel {
         cost_per_unit: req.surface.min_cost_per_gcell(),
@@ -415,9 +415,9 @@ impl SteinerOracle for L1Oracle {
         false
     }
 
-    fn route(&self, req: &OracleRequest<'_>, _ws: &mut OracleWorkspace) -> EmbeddedTree {
+    fn route(&self, req: &OracleRequest<'_>, ws: &mut OracleWorkspace) -> EmbeddedTree {
         let topo = rsmt_topology(req.root, req.sinks, 5).binarize();
-        embed_plane_topology(req, &topo)
+        embed_plane_topology(req, &topo, ws)
     }
 }
 
@@ -430,7 +430,7 @@ impl SteinerOracle for SlOracle {
         "SL"
     }
 
-    fn route(&self, req: &OracleRequest<'_>, _ws: &mut OracleWorkspace) -> EmbeddedTree {
+    fn route(&self, req: &OracleRequest<'_>, ws: &mut OracleWorkspace) -> EmbeddedTree {
         let topo = shallow_light(
             req.root,
             req.sinks,
@@ -439,7 +439,7 @@ impl SteinerOracle for SlOracle {
             &plane_model(req),
             &SlParams::default(),
         );
-        embed_plane_topology(req, &topo)
+        embed_plane_topology(req, &topo, ws)
     }
 }
 
@@ -458,9 +458,9 @@ impl SteinerOracle for PdOracle {
         false
     }
 
-    fn route(&self, req: &OracleRequest<'_>, _ws: &mut OracleWorkspace) -> EmbeddedTree {
+    fn route(&self, req: &OracleRequest<'_>, ws: &mut OracleWorkspace) -> EmbeddedTree {
         let topo = prim_dijkstra(req.root, req.sinks, req.weights, &plane_model(req));
-        embed_plane_topology(req, &topo)
+        embed_plane_topology(req, &topo, ws)
     }
 }
 
