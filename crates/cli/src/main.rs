@@ -41,8 +41,7 @@
 //! then the document's `config` records, then CLI flags
 //! (`--oracle/--threads/--iterations/--incremental/--price-tol/...`).
 //! Knobs without a dedicated flag go through `--set key=value` — e.g.
-//! `--set shards=4` routes region-parallel and `--set batch=on`
-//! enables batched multi-sink search.
+//! `--set shards=4` routes region-parallel.
 
 use cds_instgen::io::doc::{
     chip_doc_to_string, read_chip_doc, read_chip_streaming, ChipDoc, RequestRecord, StateSection,
@@ -73,7 +72,7 @@ const USAGE: &str = "usage: cds-cli <gen|route|verify|harvest|fixtures|submit|lo
   route    [FILE|-] [--oracle cd|l1|sl|pd] [--threads N] [--iterations N]
            [--incremental BOOL] [--price-tol F] [--seed N]
            [--checkpoint FILE] [--resume]
-           [--set key=value]...       (e.g. --set shards=4, --set batch=on)
+           [--set key=value]...       (e.g. --set shards=4)
   verify   [FILE|-] --expect 0xHEX [route flags]
   harvest  [FILE|-] [route flags] [-o FILE]
   fixtures DIR
@@ -466,8 +465,9 @@ fn fixtures(args: &[String]) -> Result<ExitCode, String> {
     let dir = std::path::PathBuf::from(flags.positional()?.unwrap_or("tests/fixtures"));
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let write = |name: &str, text: &str| -> Result<(), String> {
+        // `dir` came from a `String`, so the lossy view is exact
         let path = dir.join(name);
-        std::fs::write(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+        write_atomic(&path.to_string_lossy(), text.as_bytes())?;
         eprintln!("wrote {}", path.display());
         Ok(())
     };

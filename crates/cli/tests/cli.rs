@@ -284,6 +284,38 @@ fn every_checkpoint_overwrite_leaves_a_complete_resumable_document() {
 }
 
 #[test]
+fn checkpoints_from_before_batch_was_removed_still_resume() {
+    let (doc, cp) = (tmp("batch_false.cdst"), tmp("batch_false_cp.cdst"));
+    run_ok(bin().args(["gen", "--preset", "small", "--nets", "15", "-o"]).arg(&doc));
+    let full = run_ok(
+        bin()
+            .arg("route")
+            .arg(&doc)
+            .args(["--iterations", "4", "--set", "checkpoint_every=2", "--checkpoint"])
+            .arg(&cp),
+    );
+    // checkpoints written while batched search existed carried every
+    // knob, `batch false` among them, between `recount_every` and `shards`
+    let text = std::fs::read_to_string(&cp).unwrap();
+    assert!(!text.contains("config batch"), "records() still emits the removed knob");
+    let mut lines: Vec<&str> = text.lines().collect();
+    let at = lines.iter().position(|l| l.starts_with("config shards")).unwrap();
+    lines.insert(at, "config batch false");
+    let old = format!("{}\n", lines.join("\n"));
+    let resumed = pipe_stdin(bin().args(["route", "-", "--resume"]), &old);
+    assert!(resumed.status.success(), "{}", String::from_utf8_lossy(&resumed.stderr));
+    let resumed = String::from_utf8(resumed.stdout).unwrap();
+    assert_eq!(json_field(&resumed, "checksum"), json_field(&full, "checksum"));
+
+    // turning the removed search on is an error naming the knob
+    let out = bin().arg("route").arg(&doc).args(["--set", "batch=on"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("batch") && err.contains("removed"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn config_flags_apply_in_command_line_order() {
     // Regression: --set pairs used to apply after all dedicated flags
     // regardless of position, so a later dedicated flag could not

@@ -4,66 +4,16 @@
 //! The paper lower-bounds connection/congestion costs with landmarks
 //! \[11\] and delays with "L1-distance and the fastest layer and wire
 //! type combination". [`GridFutureCost`] applies the L1 form to both
-//! parts (the per-gcell cost and delay floors of the surface);
-//! [`NoFutureCost`] is the trivial zero bound. To keep labels valid
-//! across iterations (terminals come and go as components merge), bounds
-//! target the *fixed* set of all initial terminal positions — a superset
-//! of any iteration's live targets, so the heuristic only gets weaker,
-//! never inadmissible.
+//! parts (the per-gcell cost and delay floors of the surface); a
+//! request without one runs plain Dijkstra (a zero bound). To keep
+//! labels valid across iterations (terminals come and go as components
+//! merge), bounds target the *fixed* set of all initial terminal
+//! positions — a superset of any iteration's live targets, so the
+//! heuristic only gets weaker, never inadmissible.
 
 use cds_graph::{RoutingSurface, VertexId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// An admissible heuristic for the simultaneous Dijkstra searches.
-///
-/// All implementations must guarantee, for a search with delay weight
-/// `w`:
-///
-/// * `bound_nearest(x, w)` ≤ the `c + w·d` length of any path from `x`
-///   to any vertex that can ever become a connection target;
-/// * `bound_to(x, y, w)` ≤ the `c + w·d` length of any `x`→`y` path.
-///
-/// `Sync` is a supertrait so that requests referencing a future cost
-/// can be built on one thread and solved on another (each request is
-/// still *used* by exactly one thread at a time; a future must not be
-/// shared between different requests, since
-/// [`note_new_targets`](Self::note_new_targets) specializes it to one
-/// net's target set).
-pub trait FutureCost: Sync {
-    /// Lower bound on the remaining search cost from `x` to the nearest
-    /// potential target.
-    fn bound_nearest(&self, x: VertexId, w: f64) -> f64;
-    /// Lower bound on the cost of reaching the specific vertex `y`.
-    fn bound_to(&self, x: VertexId, y: VertexId, w: f64) -> f64;
-    /// Informs the heuristic that `vertices` became connection targets
-    /// (under §III-A discounting, components absorb every vertex of a
-    /// committed path — future bounds must account for them or they stop
-    /// being admissible). Implementations may ignore this only if their
-    /// bounds are already valid for arbitrary target growth.
-    fn note_new_targets(&self, _vertices: &[VertexId]) {}
-    /// Downcast hook for the solver's hot loop: returning `Some` lets
-    /// the expansion loop call [`GridFutureCost::bound_nearest`]
-    /// statically (one plane load + fma, inlined) instead of through
-    /// the vtable on every neighbor relaxation. The default `None`
-    /// keeps the dynamic path for every other implementation.
-    fn as_grid(&self) -> Option<&GridFutureCost> {
-        None
-    }
-}
-
-/// The zero heuristic: plain Dijkstra (§II base algorithm).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFutureCost;
-
-impl FutureCost for NoFutureCost {
-    fn bound_nearest(&self, _x: VertexId, _w: f64) -> f64 {
-        0.0
-    }
-    fn bound_to(&self, _x: VertexId, _y: VertexId, _w: f64) -> f64 {
-        0.0
-    }
-}
 
 /// Grid-based future costs: a plane L1 distance transform to the nearest
 /// target (one multi-source BFS at construction, incrementally updated
@@ -78,16 +28,26 @@ impl FutureCost for NoFutureCost {
 /// Admissible because every wire edge of the grid costs at least
 /// `min_cost_per_gcell + w·min_delay_per_gcell` per gcell of L1 progress,
 /// vias make no L1 progress at non-negative cost, and
-/// [`note_new_targets`](FutureCost::note_new_targets) keeps the transform
-/// a lower bound as the set of valid connection targets expands.
+/// [`note_new_targets`](Self::note_new_targets) keeps the transform
+/// a lower bound as the set of valid connection targets expands. So for
+/// a search with delay weight `w`:
+///
+/// * `bound_nearest(x, w)` ≤ the `c + w·d` length of any path from `x`
+///   to any vertex that can ever become a connection target;
+/// * `bound_to(x, y, w)` ≤ the `c + w·d` length of any `x`→`y` path.
+///
+/// Use one future cost per request: `note_new_targets` specializes it
+/// to one net's target set.
 #[derive(Debug)]
 pub struct GridFutureCost {
     nx: usize,
     ny: usize,
     /// Plane distance (in gcells) to the nearest target, row-major.
     /// Atomic cells (relaxed, plain-load cost on mainstream ISAs) give
-    /// the interior mutability `note_new_targets` needs through `&self`
-    /// while keeping the type `Sync` for batched solving; a single
+    /// the interior mutability `note_new_targets` needs: the solver
+    /// mutates the bound through the shared reference that a `Copy`
+    /// [`Request`](crate::Request) holds. Atomics rather than `Cell`
+    /// keep the type `Sync`, so such a request stays `Send`; a single
     /// solve run is the only writer at any time.
     plane_dist: Vec<AtomicU32>,
     min_cost: f64,
@@ -174,25 +134,29 @@ impl GridFutureCost {
     fn cell(&self, v: VertexId) -> usize {
         v as usize % (self.nx * self.ny)
     }
-}
 
-impl FutureCost for GridFutureCost {
+    /// Lower bound on the remaining search cost from `x` to the nearest
+    /// potential target.
     #[inline]
-    fn bound_nearest(&self, x: VertexId, w: f64) -> f64 {
+    pub fn bound_nearest(&self, x: VertexId, w: f64) -> f64 {
         let d = self.plane_dist[self.cell(x)].load(Ordering::Relaxed);
         d as f64 * (self.min_cost + w * self.min_delay)
     }
-    fn bound_to(&self, x: VertexId, y: VertexId, w: f64) -> f64 {
+
+    /// Lower bound on the cost of reaching the specific vertex `y`.
+    pub fn bound_to(&self, x: VertexId, y: VertexId, w: f64) -> f64 {
         let (cx, cy) = (self.cell(x), self.cell(y));
         let (x0, y0) = ((cx % self.nx) as i64, (cx / self.nx) as i64);
         let (x1, y1) = ((cy % self.nx) as i64, (cy / self.nx) as i64);
         let l1 = ((x0 - x1).abs() + (y0 - y1).abs()) as f64;
         l1 * (self.min_cost + w * self.min_delay)
     }
-    fn as_grid(&self) -> Option<&GridFutureCost> {
-        Some(self)
-    }
-    fn note_new_targets(&self, vertices: &[VertexId]) {
+
+    /// Informs the bound that `vertices` became connection targets:
+    /// under §III-A discounting, components absorb every vertex of a
+    /// committed path, and the transform must reach them to stay
+    /// admissible.
+    pub fn note_new_targets(&self, vertices: &[VertexId]) {
         let nx = self.nx;
         let dist = &self.plane_dist;
         let ny = dist.len() / nx;
@@ -256,11 +220,5 @@ mod tests {
                 exact[v as usize]
             );
         }
-    }
-
-    #[test]
-    fn zero_bound_is_zero() {
-        assert_eq!(NoFutureCost.bound_nearest(3, 10.0), 0.0);
-        assert_eq!(NoFutureCost.bound_to(3, 4, 10.0), 0.0);
     }
 }

@@ -33,8 +33,9 @@
 //! call [`Solver::solve_with`] / [`Solver::solve_into`] — the router's
 //! `WorkerPool` does.
 
-use crate::future::FutureCost;
-use crate::solver::{solve_forest_in, solve_in, SolveResult, SolveStats, SolverWorkspace};
+use crate::assemble::{assemble_tree_in, assemble_tree_into};
+use crate::future::GridFutureCost;
+use crate::solver::{solve_core, SolveResult, SolveStats, SolverWorkspace};
 use cds_graph::{Graph, SteinerGraph, VertexId};
 use cds_topo::{BifurcationConfig, RoutedForest};
 
@@ -52,14 +53,6 @@ pub struct SessionConfig {
     /// Default seed for the randomized Steiner placement; a
     /// [`Request::seed`] overrides it per net.
     pub seed: u64,
-    /// Batched multi-sink search: sink–sink merges keep the member
-    /// searches alive serving the merged component instead of retiring
-    /// both and restarting one labelling from the new Steiner terminal.
-    /// One labelling per original terminal then serves the whole solve;
-    /// root connections retire all member searches at once. Changes
-    /// which trees are found (fewer relabellings, same approximation
-    /// regime) — off by default to keep results pinned.
-    pub batch: bool,
 }
 
 impl Default for SessionConfig {
@@ -79,7 +72,6 @@ impl SessionConfig {
         better_steiner: true,
         encourage_root: true,
         seed: Self::DEFAULT_SEED,
-        batch: false,
     };
 
     /// The plain Section-II algorithm (all enhancements off).
@@ -88,7 +80,6 @@ impl SessionConfig {
         better_steiner: false,
         encourage_root: false,
         seed: Self::DEFAULT_SEED,
-        batch: false,
     };
 }
 
@@ -124,7 +115,7 @@ pub struct Request<'a, G: ?Sized = Graph> {
     /// §III-C future cost for goal-oriented search; `None` means plain
     /// Dijkstra. Use one future per request — it specializes to the
     /// net's targets as components merge.
-    pub future: Option<&'a dyn FutureCost>,
+    pub future: Option<&'a GridFutureCost>,
     /// Overrides the session seed for this net, e.g. with a per-net hash
     /// so rip-up order does not change placements.
     pub seed: Option<u64>,
@@ -194,7 +185,7 @@ impl<'a, G: ?Sized> Request<'a, G> {
     }
 
     /// Sets the §III-C future cost.
-    pub fn with_future(mut self, future: &'a dyn FutureCost) -> Self {
+    pub fn with_future(mut self, future: &'a GridFutureCost) -> Self {
         self.future = Some(future);
         self
     }
@@ -263,13 +254,27 @@ impl Solver {
 
     /// Solves one request against an explicit workspace — the building
     /// block for callers that manage their own workspace pools (the
-    /// router's worker threads do).
+    /// router's worker threads do). Whatever the workspace held is
+    /// cleared, not reallocated.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`solve`](Self::solve).
     pub fn solve_with<G: SteinerGraph + ?Sized>(
         config: &SessionConfig,
         ws: &mut SolverWorkspace,
         req: &Request<'_, G>,
     ) -> SolveResult {
-        solve_in(ws, config, req)
+        let (comp, stats, trace) = solve_core(ws, config, req);
+        let tree = assemble_tree_in(&mut ws.assemble, req.graph, req.root, req.sinks, &comp.edges);
+        ws.free_component(comp);
+        debug_assert_eq!(
+            tree.validate(req.graph, req.sinks.len()),
+            Ok(()),
+            "assembled tree must be valid"
+        );
+        let evaluation = tree.evaluate(req.cost, req.delay, req.weights, &req.bif);
+        SolveResult { tree, evaluation, stats, trace }
     }
 
     /// Solves one request with the tree assembled straight into a
@@ -289,7 +294,23 @@ impl Solver {
         forest: &mut RoutedForest,
         slot: usize,
     ) -> SolveStats {
-        solve_forest_in(ws, config, req, forest, slot)
+        let (comp, stats, _trace) = solve_core(ws, config, req);
+        assemble_tree_into(
+            &mut ws.assemble,
+            req.graph,
+            req.root,
+            req.sinks,
+            &comp.edges,
+            forest,
+            slot,
+        );
+        ws.free_component(comp);
+        debug_assert_eq!(
+            forest.view(slot).validate(req.graph, req.sinks.len()),
+            Ok(()),
+            "assembled tree must be valid"
+        );
+        stats
     }
 }
 

@@ -25,16 +25,15 @@
 //! costs, §III-D Steiner re-embedding, §III-E root-connection
 //! encouragement.
 
-use crate::assemble::{assemble_tree_in, assemble_tree_into, AssembleScratch};
+use crate::assemble::AssembleScratch;
 use crate::components::{CompScratch, Component, Dsu, TerminalId};
-use crate::future::{FutureCost, GridFutureCost, NoFutureCost};
 use crate::search::{Label, Search};
 use crate::session::{Request, SessionConfig};
 use crate::table::VertexTable;
 use cds_graph::{EdgeId, SteinerGraph, VertexId};
 use cds_heap::{BucketQueue, OrderedF64};
 use cds_topo::penalty::beta;
-use cds_topo::{EmbeddedTree, Evaluation, RoutedForest};
+use cds_topo::{EmbeddedTree, Evaluation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -126,62 +125,17 @@ pub struct SolveResult {
     pub trace: Vec<MergeEvent>,
 }
 
-/// Runs the cost-distance algorithm on `req` against a caller-owned
-/// workspace, clearing (not reallocating) whatever the workspace held.
+/// The shared front of [`Solver::solve_with`](crate::Solver::solve_with)
+/// and [`Solver::solve_into`](crate::Solver::solve_into): validates the
+/// request, runs the merge loop to completion, and hands back the root
+/// component's edge set (the tree-to-be) with the work counters and
+/// optional trace.
 ///
 /// # Panics
 ///
 /// Panics if the request has no sinks, mismatched slices, negative
 /// weights, or if some sink is disconnected from the rest of the graph.
-pub(crate) fn solve_in<G: SteinerGraph + ?Sized>(
-    ws: &mut SolverWorkspace,
-    config: &SessionConfig,
-    req: &Request<'_, G>,
-) -> SolveResult {
-    let (comp, stats, trace) = solve_core(ws, config, req);
-    let tree = assemble_tree_in(&mut ws.assemble, req.graph, req.root, req.sinks, &comp.edges);
-    ws.free_component(comp);
-    debug_assert_eq!(
-        tree.validate(req.graph, req.sinks.len()),
-        Ok(()),
-        "assembled tree must be valid"
-    );
-    let evaluation = tree.evaluate(req.cost, req.delay, req.weights, &req.bif);
-    SolveResult { tree, evaluation, stats, trace }
-}
-
-/// [`solve_in`] assembling straight into a [`RoutedForest`] slot — the
-/// arena path of the session API: the same merge loop and the same
-/// assembly pipeline, but the output tree lands in shared slabs instead
-/// of an owned [`EmbeddedTree`], and no evaluation is performed (the
-/// caller evaluates through the slot's
-/// [`TreeView`](cds_topo::TreeView), bit-identical by construction).
-///
-/// # Panics
-///
-/// Same contract as [`solve_in`].
-pub(crate) fn solve_forest_in<G: SteinerGraph + ?Sized>(
-    ws: &mut SolverWorkspace,
-    config: &SessionConfig,
-    req: &Request<'_, G>,
-    forest: &mut RoutedForest,
-    slot: usize,
-) -> SolveStats {
-    let (comp, stats, _trace) = solve_core(ws, config, req);
-    assemble_tree_into(&mut ws.assemble, req.graph, req.root, req.sinks, &comp.edges, forest, slot);
-    ws.free_component(comp);
-    debug_assert_eq!(
-        forest.view(slot).validate(req.graph, req.sinks.len()),
-        Ok(()),
-        "assembled tree must be valid"
-    );
-    stats
-}
-
-/// The shared front of both solve paths: validates the request, runs
-/// the merge loop to completion, and hands back the root component's
-/// edge set (the tree-to-be) with the work counters and optional trace.
-fn solve_core<G: SteinerGraph + ?Sized>(
+pub(crate) fn solve_core<G: SteinerGraph + ?Sized>(
     ws: &mut SolverWorkspace,
     config: &SessionConfig,
     req: &Request<'_, G>,
@@ -254,7 +208,6 @@ fn run_merge_loop<G: SteinerGraph + ?Sized>(
 struct Terminal {
     vertex: VertexId,
     weight: f64,
-    alive: bool,
     /// Component data; present only at DSU representatives.
     comp: Option<Component>,
     /// Heap search id, while the terminal is actively searching.
@@ -312,7 +265,7 @@ pub struct SolverWorkspace {
     comp_scratch: CompScratch,
     /// Tree-assembly tables (used-subgraph adjacency, DFS state,
     /// children lists).
-    assemble: AssembleScratch,
+    pub(crate) assemble: AssembleScratch,
     /// Scratch for the arrival check of the expansion hot loop.
     scratch_slots: Vec<TerminalId>,
     /// Scratch for neighbor enumeration (filled by the graph backend).
@@ -333,7 +286,6 @@ impl std::fmt::Debug for Terminal {
         f.debug_struct("Terminal")
             .field("vertex", &self.vertex)
             .field("weight", &self.weight)
-            .field("alive", &self.alive)
             .field("sid", &self.sid)
             .finish_non_exhaustive()
     }
@@ -410,7 +362,7 @@ impl SolverWorkspace {
     }
 
     /// Returns a drained component's buffers to the pool.
-    fn free_component(&mut self, mut comp: Component) {
+    pub(crate) fn free_component(&mut self, mut comp: Component) {
         comp.reset();
         self.component_pool.push(comp);
     }
@@ -446,7 +398,6 @@ struct State<'w, 'a, 'r, G: ?Sized> {
     rng: StdRng,
     stats: SolveStats,
     trace: Vec<MergeEvent>,
-    no_future: NoFutureCost,
     /// Memoized result of [`peek_valid_candidate`](Self::peek_valid_candidate).
     /// A validated best candidate stays valid until something that
     /// feeds its value changes: a candidate push, a take, or a commit
@@ -477,7 +428,6 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
             rng: StdRng::seed_from_u64(req.seed.unwrap_or(config.seed)),
             stats: SolveStats::default(),
             trace: Vec::new(),
-            no_future: NoFutureCost,
             cand_cache: None,
         };
         // sink terminals
@@ -485,13 +435,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
             let slot = state.ws.dsu.push();
             debug_assert_eq!(slot, i);
             let comp = state.ws.alloc_component(v, &[(v, w)]);
-            state.ws.terminals.push(Terminal {
-                vertex: v,
-                weight: w,
-                alive: true,
-                comp: Some(comp),
-                sid: None,
-            });
+            state.ws.terminals.push(Terminal { vertex: v, weight: w, comp: Some(comp), sid: None });
             state.ws.push_slot(v, slot);
             state.active_count += 1;
             state.total_active_weight += w;
@@ -503,7 +447,6 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         state.ws.terminals.push(Terminal {
             vertex: req.root,
             weight: 0.0,
-            alive: true,
             comp: Some(root_comp),
             sid: None,
         });
@@ -515,10 +458,6 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         state
     }
 
-    fn future(&self) -> &dyn FutureCost {
-        self.req.future.unwrap_or(&self.no_future)
-    }
-
     /// `b(u, v)` of Eq. (5) for a candidate, under the *current* weights.
     ///
     /// For root-component arrivals the paper's `β(w(u), w(S_i∖u))` prices
@@ -527,13 +466,10 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
     /// suffer is fully determined), taking the larger of the two — this
     /// is what keeps taps off critical trunks (Fig. 1).
     fn b_value(&mut self, u: TerminalId, target_rep: TerminalId, via: VertexId) -> f64 {
-        // price the searching terminal's *component* weight — in the
-        // default mode a searching terminal is always its own DSU
-        // representative, so this is `w(u)` verbatim; under `batch`,
-        // member searches outlive merges and the component weight lives
-        // at the representative.
-        let u_rep = self.ws.dsu.find(u);
-        let w_u = self.ws.terminals[u_rep].weight;
+        // a searching terminal is always its own DSU representative (a
+        // merge retires both member searches), so its weight is `w(u)`
+        debug_assert_eq!(self.ws.dsu.find(u), u, "searching terminal is its own representative");
+        let w_u = self.ws.terminals[u].weight;
         if target_rep == self.ws.dsu.find(self.root_slot) {
             let rest = (self.total_active_weight - w_u).max(0.0);
             let down = self.ws.root_downstream.get_or(via, 0.0);
@@ -596,7 +532,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         seeds.sort_unstable_by_key(|&(v, _)| v); // determinism
         for &(v, offset) in &seeds {
             search.labels.insert(v, Label::seed(offset));
-            let h = self.future().bound_nearest(v, w);
+            let h = self.req.future.map_or(0.0, |f| f.bound_nearest(v, w));
             self.queue.push(sid, v, offset + h);
             self.stats.pushed += 1;
         }
@@ -657,8 +593,8 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         loop {
             let &Reverse((val, id)) = self.ws.candidates.peek()?;
             let cand = self.ws.cand_store[id];
-            // searching terminal must still be alive and searching
-            if !self.ws.terminals[cand.u].alive || self.ws.terminals[cand.u].sid.is_none() {
+            // searching terminal must still be searching
+            if self.ws.terminals[cand.u].sid.is_none() {
                 self.ws.candidates.pop();
                 continue;
             }
@@ -736,22 +672,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         let graph = self.req.graph;
         let mut nbrs = std::mem::take(&mut self.ws.nbrs);
         graph.neighbors_into(x, &mut nbrs);
-        // Resolve the future cost once per settled vertex: `None`
-        // short-circuits the call entirely, the grid lower bound is
-        // dispatched statically (and inlined), and only exotic futures
-        // pay the virtual call per neighbor.
-        enum Fut<'f> {
-            None,
-            Grid(&'f GridFutureCost),
-            Dyn(&'f dyn FutureCost),
-        }
-        let fut = match self.req.future {
-            None => Fut::None,
-            Some(f) => match f.as_grid() {
-                Some(grid) => Fut::Grid(grid),
-                None => Fut::Dyn(f),
-            },
-        };
+        let fut = self.req.future;
         let cost = self.req.cost;
         let delay = self.req.delay;
         #[cfg(target_arch = "x86_64")]
@@ -795,11 +716,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
                 if cur.is_finite() {
                     stats.decreased += 1;
                 }
-                let h = match fut {
-                    Fut::None => 0.0,
-                    Fut::Grid(grid) => grid.bound_nearest(y, w),
-                    Fut::Dyn(f) => f.bound_nearest(y, w),
-                };
+                let h = fut.map_or(0.0, |f| f.bound_nearest(y, w));
                 sm.labels.insert(y, Label { dist: cand_g, parent: (x, e), settled: false });
                 queue.push(sid, y, cand_g + h);
                 stats.pushed += 1;
@@ -815,7 +732,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         // of which feed `b_value`, so the memoized best candidate dies
         self.cand_cache = None;
         let u = cand.u;
-        // INVARIANT: candidates are recorded for terminals with an active search, and stale candidates are rejected by the alive/sid check before this point.
+        // INVARIANT: candidates are recorded for terminals with an active search, and revalidate_candidates drops every candidate whose terminal no longer has a sid before this point.
         let sid = self.ws.terminals[u].sid.expect("searching terminal");
         // INVARIANT: sid was just read from a searching terminal, and searches stay live until a merge retires them below.
         let search = self.ws.searches[sid as usize].as_ref().expect("live search");
@@ -831,17 +748,14 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         let iteration = self.stats.merges;
         self.stats.merges += 1;
 
-        let u_rep = self.ws.dsu.find(u);
         let is_root = target_rep == self.ws.dsu.find(self.root_slot);
-        if !self.config.batch {
-            // retire u's search (its label slabs go back to the pool)
-            self.queue.remove_search(sid);
-            self.ws.free_search(sid);
-            self.ws.terminals[u].sid = None;
-        }
+        // retire u's search (its label slabs go back to the pool)
+        self.queue.remove_search(sid);
+        self.ws.free_search(sid);
+        self.ws.terminals[u].sid = None;
 
-        // INVARIANT: u_rep and target_rep are DSU representatives of distinct live components (the candidate filter rejected same-component pairs), and components live at their representatives.
-        let mut comp_u = self.ws.terminals[u_rep].comp.take().expect("u's component");
+        // INVARIANT: u (a searching terminal, hence its own representative) and target_rep are DSU representatives of distinct live components (the candidate filter rejected same-component pairs), and components live at their representatives.
+        let mut comp_u = self.ws.terminals[u].comp.take().expect("u's component");
         // INVARIANT: same argument as comp_u: the target's component lives at its representative.
         let mut comp_t = self.ws.terminals[target_rep].comp.take().expect("target component");
 
@@ -850,27 +764,10 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
             let mut comp = comp_t;
             comp.absorb(&mut comp_u, &path, self.req.graph);
             self.ws.free_component(comp_u);
-            let retired_weight = self.ws.terminals[u_rep].weight;
-            if self.config.batch {
-                // batched search: the whole component connects at once —
-                // every member search still labelling for it retires now
-                for slot in 0..self.ws.terminals.len() {
-                    if self.ws.dsu.find(slot) != u_rep {
-                        continue;
-                    }
-                    self.ws.terminals[slot].alive = false;
-                    if let Some(msid) = self.ws.terminals[slot].sid.take() {
-                        self.queue.remove_search(msid);
-                        self.ws.free_search(msid);
-                    }
-                }
-            } else {
-                self.ws.terminals[u].alive = false;
-            }
             self.active_count -= 1;
-            self.total_active_weight -= retired_weight;
+            self.total_active_weight -= self.ws.terminals[u].weight;
             // union keeps the root slot as representative
-            self.ws.dsu.union_into(u_rep, target_rep, self.root_slot);
+            self.ws.dsu.union_into(u, target_rep, self.root_slot);
             {
                 let mut cs = std::mem::take(&mut self.ws.comp_scratch);
                 let mut down = std::mem::take(&mut self.ws.root_downstream);
@@ -891,40 +788,26 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         } else {
             // sink–sink merge: create the Steiner terminal s
             let v_slot = target_rep;
-            let w_u = self.ws.terminals[u_rep].weight;
+            let w_u = self.ws.terminals[u].weight;
             let w_v = self.ws.terminals[v_slot].weight;
-            let pos = self.choose_steiner_position(
-                u_rep,
-                v_slot,
-                &path,
-                &path_vertices,
-                seed_raw_u,
-                &comp_t,
-            );
+            let pos =
+                self.choose_steiner_position(u, v_slot, &path, &path_vertices, seed_raw_u, &comp_t);
             let s = self.ws.dsu.push();
             let mut comp = comp_u;
             comp.absorb(&mut comp_t, &path, self.req.graph);
             self.ws.free_component(comp_t);
-            if !self.config.batch {
-                self.ws.terminals[u].alive = false;
-                self.ws.terminals[v_slot].alive = false;
-                if let Some(vsid) = self.ws.terminals[v_slot].sid.take() {
-                    self.queue.remove_search(vsid);
-                    self.ws.free_search(vsid);
-                }
+            if let Some(vsid) = self.ws.terminals[v_slot].sid.take() {
+                self.queue.remove_search(vsid);
+                self.ws.free_search(vsid);
             }
-            // Under `batch`, both sides' member searches stay alive and
-            // keep labelling for the merged component — the Steiner
-            // terminal carries the combined weight but starts no search.
             self.ws.terminals.push(Terminal {
                 vertex: pos,
                 weight: w_u + w_v,
-                alive: true,
                 comp: Some(comp),
                 sid: None,
             });
             debug_assert_eq!(s, self.ws.terminals.len() - 1);
-            self.ws.dsu.union_into(u_rep, v_slot, s);
+            self.ws.dsu.union_into(u, v_slot, s);
             self.active_count -= 1; // two components die, one is born
             self.ws.push_slot(pos, s);
             if self.req.record_trace {
@@ -938,9 +821,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
                 });
             }
             self.register_new_vertices(&path_vertices, s);
-            if !self.config.batch {
-                self.start_search(s);
-            }
+            self.start_search(s);
         }
         self.ws.path_scratch = path;
         self.ws.pathv_scratch = path_vertices;
@@ -995,13 +876,13 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         }
         let total: f64 = acc;
         let w_sum = w_u + w_v;
-        let fc = self.future();
+        let fc = self.req.future;
         let root = self.req.root;
         let mut best = (f64::INFINITY, path_vertices[0]);
         for (i, &p) in path_vertices.iter().enumerate() {
             let d_u = usearch_raw + cum[i];
             let d_v = v_raw + (total - cum[i]);
-            let q_est = fc.bound_to(p, root, w_sum);
+            let q_est = fc.map_or(0.0, |f| f.bound_to(p, root, w_sum));
             let score = q_est + w_u * d_u + w_v * d_v;
             if score < best.0 {
                 best = (score, p);

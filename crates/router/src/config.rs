@@ -59,11 +59,6 @@ pub struct RouterConfig {
     /// incremental accounting matched), bounding float drift from
     /// subtract/add cycles. `0` disables periodic recounts.
     pub recount_every: usize,
-    /// Batched multi-sink search for the CD oracle: member searches
-    /// survive sink–sink merges instead of restarting one labelling
-    /// from each new Steiner terminal. Changes which trees are found —
-    /// off by default so the pinned goldens stay put.
-    pub batch: bool,
     /// Region-parallel routing: partition the die into this many
     /// rectangular shards ([`cds_graph::ShardGrid`]) and schedule each
     /// iteration's rip-up in two phases — nets whose routing window lies entirely
@@ -149,7 +144,15 @@ impl RouterConfig {
                 self.price_tol = float(key, value, |x| x >= 0.0, "a finite number >= 0")?
             }
             "recount_every" => self.recount_every = num(key, value)?,
-            "batch" => self.batch = boolean(key, value)?,
+            // batched search is gone; checkpoints written while it was
+            // a knob carry `batch false`, which must keep loading
+            "batch" => {
+                if boolean(key, value)? {
+                    return Err(format!(
+                        "bad value {value} for {key} (batched search was removed)"
+                    ));
+                }
+            }
             "shards" => self.shards = num(key, value)?,
             "checkpoint_every" => self.checkpoint_every = num(key, value)?,
             _ => return Err(format!("unknown router knob {key}")),
@@ -178,7 +181,6 @@ impl RouterConfig {
             ("incremental".into(), b(self.incremental)),
             ("price_tol".into(), format!("{:?}", self.price_tol)),
             ("recount_every".into(), self.recount_every.to_string()),
-            ("batch".into(), b(self.batch)),
             ("shards".into(), self.shards.to_string()),
             ("checkpoint_every".into(), self.checkpoint_every.to_string()),
         ]
@@ -201,7 +203,6 @@ impl Default for RouterConfig {
             incremental: true,
             price_tol: 2.0,
             recount_every: 4,
-            batch: false,
             shards: 1,
             checkpoint_every: 0,
         }

@@ -65,7 +65,6 @@ pub use oracle::{
 };
 pub use outcome::{HarvestedInstance, NetView, RoutedNet, RouterStats, RoutingOutcome};
 
-use cds_core::SessionConfig;
 use cds_instgen::io::doc::StateSection;
 use cds_instgen::Chip;
 use cds_topo::BifurcationConfig;
@@ -128,14 +127,7 @@ impl<'a> Router<'a> {
     /// Prepares a router for `chip` with the built-in oracle named by
     /// `config.method`.
     pub fn new(chip: &'a Chip, config: RouterConfig) -> Self {
-        let oracle: Box<dyn SteinerOracle> = if config.method == SteinerMethod::Cd && config.batch {
-            // The static singleton behind `method.oracle()` is baked
-            // with the default session config; the batch knob needs a
-            // per-router oracle.
-            Box::new(CdOracle::with_config(SessionConfig { batch: true, ..SessionConfig::DEFAULT }))
-        } else {
-            Box::new(config.method.oracle())
-        };
+        let oracle = Box::new(config.method.oracle());
         Self::with_oracle(chip, config, oracle)
     }
 

@@ -77,14 +77,13 @@ pub fn outcome_json(chip: &Chip, config: &RouterConfig, out: &RoutingOutcome) ->
     let _ = writeln!(
         s,
         "  \"config\": {{\"oracle\": \"{}\", \"threads\": {}, \"iterations\": {}, \
-         \"incremental\": {}, \"price_tol\": {}, \"batch\": {}, \
+         \"incremental\": {}, \"price_tol\": {}, \
          \"shards\": {}, \"checkpoint_every\": {}}},",
         config.method,
         config.threads,
         config.iterations,
         config.incremental,
         json_f64(config.price_tol),
-        config.batch,
         config.shards,
         config.checkpoint_every
     );
@@ -155,7 +154,6 @@ mod tests {
             "\"oracle_calls\":",
             "\"iterations_completed\": 2",
             "\"cancelled\": false",
-            "\"batch\": false",
             "\"shards\": 1",
             "\"checkpoint_every\": 0",
             "\"kernel\":",

@@ -148,7 +148,6 @@ fn set_knob_round_trips_the_config_surface() {
         ("incremental", "false"),
         ("price_tol", "0.25"),
         ("recount_every", "0"),
-        ("batch", "on"),
         ("shards", "4"),
         ("checkpoint_every", "2"),
     ] {
@@ -160,7 +159,6 @@ fn set_knob_round_trips_the_config_surface() {
     assert!(c.use_dbif && c.harvest && !c.incremental);
     assert_eq!(c.eta, 0.125);
     assert_eq!(c.price_tol, 0.25);
-    assert!(c.batch);
     assert_eq!(c.shards, 4);
     assert_eq!(c.checkpoint_every, 2);
     c.set_knob("method", "pd").unwrap();
@@ -168,6 +166,13 @@ fn set_knob_round_trips_the_config_surface() {
     assert!(c.set_knob("bogus", "1").unwrap_err().contains("unknown"));
     assert!(c.set_knob("oracle", "astar").unwrap_err().contains("astar"));
     assert!(c.set_knob("incremental", "maybe").unwrap_err().contains("boolean"));
+    // old checkpoints carry `batch false`: a no-op; turning it on fails
+    let before = format!("{c:?}");
+    for v in ["false", "off", "0"] {
+        c.set_knob("batch", v).unwrap_or_else(|e| panic!("batch={v}: {e}"));
+    }
+    assert_eq!(format!("{c:?}"), before);
+    assert!(c.set_knob("batch", "on").unwrap_err().contains("removed"));
     // the knobs of the deleted route paths are plain unknown keys
     // (spelled in two halves: CI greps the tree for the old name)
     let window_knob = concat!("materialize", "_windows");
@@ -233,7 +238,6 @@ fn records_replay_through_set_knob_onto_the_same_config() {
         incremental: false,
         price_tol: 0.75,
         recount_every: 9,
-        batch: true,
         shards: 6,
         checkpoint_every: 2,
     };
@@ -241,11 +245,11 @@ fn records_replay_through_set_knob_onto_the_same_config() {
         format!("{c:?}").split(", ").map(String::from).collect()
     };
     let (d, a) = (fields(&defaults), fields(&all_changed));
-    assert_eq!(d.len(), 16);
+    assert_eq!(d.len(), 15);
     assert!(d.iter().zip(&a).all(|(x, y)| x != y), "a field kept its default: {a:?}");
     for config in [defaults, all_changed] {
         let records = config.records();
-        assert_eq!(records.len(), 16);
+        assert_eq!(records.len(), 15);
         let mut replayed = RouterConfig::default();
         for (k, v) in records {
             replayed.set_knob(&k, &v).unwrap_or_else(|e| panic!("{k}={v}: {e}"));
