@@ -2,11 +2,11 @@
 //! Experiment harnesses that regenerate the paper's tables and figures.
 //!
 //! Each table/figure of the evaluation section has a binary in
-//! `src/bin/` (run with `cargo run -p cds-bench --release --bin tableN`)
-//! and a scaled-down Criterion bench in `benches/`. This library holds
-//! the shared machinery: chip suites, the instance-level comparison of
-//! Tables I/II, the routing-level comparison of Tables IV/V, and the
-//! formatting that mirrors the paper's rows.
+//! `src/bin/` (run with `cargo run -p cds-bench --release --bin tableN`).
+//! This library holds the shared machinery: chip suites, the
+//! instance-level comparison of Tables I/II, the routing-level
+//! comparison of Tables IV/V, and the formatting that mirrors the
+//! paper's rows.
 //!
 //! Scaling knobs (environment variables):
 //!

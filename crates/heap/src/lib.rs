@@ -16,15 +16,13 @@
 //! * [`BucketQueue`] — a monotone bucket (Dial) queue over quantized
 //!   keys: grid edge costs are bounded and near-uniform, so an indexed
 //!   bucket array replaces `O(log n)` heap sifts on the solver's hot
-//!   path,
-//! * [`LazyHeap`] — a conventional lazy-deletion heap used as the ablation
-//!   baseline in the `heap` Criterion bench.
+//!   path.
 //!
 //! [`TwoLevelHeap`] and [`BucketQueue`] share the [`LabelQueue`] surface
 //! *and the total pop order* `(key, search, vertex)`, pinned by the
 //! pop-sequence proptest in [`bucket`]. The solver runs on
 //! [`BucketQueue`]; [`TwoLevelHeap`] is the paper's structure, that
-//! proptest's reference, and the comparison row of the benchmarks.
+//! proptest's reference, and the comparison row of the benchmark.
 //!
 //! # Examples
 //!
@@ -42,13 +40,11 @@
 
 pub mod bucket;
 pub mod indexed;
-pub mod lazy;
 pub mod ordered;
 pub mod two_level;
 
 pub use bucket::BucketQueue;
 pub use indexed::{IndexedBinaryHeap, TieStampedIndexedHeap};
-pub use lazy::LazyHeap;
 pub use ordered::OrderedF64;
 pub use two_level::TwoLevelHeap;
 

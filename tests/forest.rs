@@ -15,31 +15,15 @@
 //!    result is recomputable outside the router with owned trees and
 //!    owned evaluations; the outcome's forest must match them exactly.
 
+mod common;
+
 use cds_graph::{RoutingSurface, WindowView};
 use cds_instgen::ChipSpec;
 use cds_router::{
     OracleRequest, OracleWorkspace, Router, RouterConfig, RoutingOutcome, SteinerMethod,
-    SteinerOracle,
 };
-use cds_topo::EmbeddedTree;
+use common::OwnedPathCd;
 use proptest::prelude::*;
-
-/// Forces the router through the owned-tree compat path: only `route`
-/// is implemented, so the default `route_into` builds an owned
-/// `EmbeddedTree` and copies it into the forest.
-struct OwnedPathCd;
-
-impl SteinerOracle for OwnedPathCd {
-    fn name(&self) -> &str {
-        "CD-owned"
-    }
-    fn uses_budgets(&self) -> bool {
-        false
-    }
-    fn route(&self, req: &OracleRequest<'_>, ws: &mut OracleWorkspace) -> EmbeddedTree {
-        SteinerMethod::Cd.oracle().route(req, ws)
-    }
-}
 
 fn outcomes_bit_identical(a: &RoutingOutcome, b: &RoutingOutcome, ctx: &str) {
     assert_eq!(a.checksum(), b.checksum(), "{ctx}: checksums differ");
