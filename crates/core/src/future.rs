@@ -155,12 +155,13 @@ impl GridFutureCost {
     /// Informs the bound that `vertices` became connection targets:
     /// under §III-A discounting, components absorb every vertex of a
     /// committed path, and the transform must reach them to stay
-    /// admissible.
-    pub fn note_new_targets(&self, vertices: &[VertexId]) {
+    /// admissible. `queue` is the caller's reusable BFS work queue
+    /// (cleared first), so a warm caller updates without allocating.
+    pub fn note_new_targets(&self, vertices: &[VertexId], queue: &mut VecDeque<usize>) {
         let nx = self.nx;
         let dist = &self.plane_dist;
         let ny = dist.len() / nx;
-        let mut queue = VecDeque::new();
+        queue.clear();
         for &v in vertices {
             let idx = self.cell(v);
             if dist[idx].load(Ordering::Relaxed) != 0 {

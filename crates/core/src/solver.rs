@@ -14,9 +14,12 @@
 //! The solver is generic over [`SteinerGraph`], so the same code routes
 //! a whole [`Graph`](cds_graph::Graph) and a zero-copy
 //! [`WindowView`](cds_graph::WindowView) of the global grid. All
-//! per-solve state lives in dense, epoch-stamped [`VertexTable`]
-//! slabs pooled by the [`SolverWorkspace`]: clearing is an epoch bump,
-//! and a warm workspace solves without touching the allocator.
+//! per-solve state lives in dense, epoch-stamped slabs pooled by the
+//! [`SolverWorkspace`] — one 24-byte [`Label`](crate::search::Label)
+//! record per (search, vertex), whose queue key doubles as the bucket
+//! queue's liveness record, and [`VertexTable`]s for the rest: clearing
+//! is an epoch bump, and a warm workspace solves without touching the
+//! allocator.
 //!
 //! Enhancements (all individually toggleable in [`SessionConfig`]):
 //! §III-A component reuse (searches are seeded with the whole component
@@ -27,17 +30,17 @@
 
 use crate::assemble::AssembleScratch;
 use crate::components::{CompScratch, Component, Dsu, TerminalId};
-use crate::search::{Label, Search};
+use crate::search::{Search, NO_PARENT};
 use crate::session::{Request, SessionConfig};
 use crate::table::VertexTable;
 use cds_graph::{EdgeId, SteinerGraph, VertexId};
-use cds_heap::{BucketQueue, OrderedF64};
+use cds_heap::{BucketCore, OrderedF64};
 use cds_topo::penalty::beta;
 use cds_topo::{EmbeddedTree, Evaluation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Sentinel for "no entry" in the intrusive per-vertex slot lists.
 const NO_LINK: u32 = u32::MAX;
@@ -85,8 +88,8 @@ pub struct SolveStats {
     pub settled: usize,
     /// Queue pushes (label creations/improvements).
     pub pushed: usize,
-    /// Queue pops, including stale entries discarded by the settled
-    /// check (`popped - settled` is the lazy-deletion overhead).
+    /// Queue pops. The queue prunes stale entries itself and pops only
+    /// live ones, so this equals `settled`.
     pub popped: usize,
     /// Label improvements of an already-finite tentative distance (the
     /// decrease-key share of `pushed`).
@@ -186,7 +189,7 @@ fn run_merge_loop<G: SteinerGraph + ?Sized>(
     ws: &mut SolverWorkspace,
     config: &SessionConfig,
     req: &Request<'_, G>,
-    queue: &mut BucketQueue,
+    queue: &mut BucketCore,
 ) -> (Component, SolveStats, Vec<MergeEvent>) {
     let mut state = State::new(config, req, ws, queue);
     while state.active_count > 0 {
@@ -243,7 +246,7 @@ struct Candidate {
 pub struct SolverWorkspace {
     terminals: Vec<Terminal>,
     dsu: Dsu,
-    bucket: BucketQueue,
+    bucket: BucketCore,
     searches: Vec<Option<Search>>,
     /// vertex → head of its slot list in `slot_links` (stale slots
     /// resolved through the DSU at query time)
@@ -277,6 +280,8 @@ pub struct SolverWorkspace {
     cum_scratch: Vec<f64>,
     sid_scratch: Vec<u32>,
     hit_scratch: Vec<(VertexId, f64)>,
+    /// Work queue of [`GridFutureCost::note_new_targets`](crate::GridFutureCost::note_new_targets).
+    target_queue: VecDeque<usize>,
     /// Solves served by this workspace (diagnostics).
     solves: u64,
 }
@@ -378,7 +383,7 @@ impl SolverWorkspace {
         }
     }
 
-    /// Retires a search, returning its label slabs to the pool.
+    /// Retires a search, returning its label slab to the pool.
     fn free_search(&mut self, sid: u32) {
         if let Some(mut s) = self.searches[sid as usize].take() {
             s.reset(0, 0.0, 0);
@@ -387,11 +392,18 @@ impl SolverWorkspace {
     }
 }
 
+/// The bucket queue's liveness test: entry `(sid, v, key)` is live iff
+/// search `sid` is still running and holds `v` queued at exactly `key`.
+#[inline]
+fn is_queued(searches: &[Option<Search>], sid: u32, v: VertexId, key: f64) -> bool {
+    searches[sid as usize].as_ref().is_some_and(|s| s.labels.is_queued(v, key))
+}
+
 struct State<'w, 'a, 'r, G: ?Sized> {
     config: &'a SessionConfig,
     req: &'a Request<'r, G>,
     ws: &'w mut SolverWorkspace,
-    queue: &'w mut BucketQueue,
+    queue: &'w mut BucketCore,
     root_slot: TerminalId,
     active_count: usize,
     total_active_weight: f64,
@@ -415,7 +427,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         config: &'a SessionConfig,
         req: &'a Request<'r, G>,
         ws: &'w mut SolverWorkspace,
-        queue: &'w mut BucketQueue,
+        queue: &'w mut BucketCore,
     ) -> Self {
         let mut state = State {
             config,
@@ -485,14 +497,15 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
     }
 
     /// Starts (or restarts) the Dijkstra of terminal `slot`, drawing the
-    /// search's label slabs from the workspace pool.
+    /// search's label slab from the workspace pool.
     fn start_search(&mut self, slot: TerminalId) {
         let (t_weight, t_vertex) = {
             let t = &self.ws.terminals[slot];
             (t.weight, t.vertex)
         };
         let mut search = self.ws.alloc_search(slot, t_weight, t_vertex);
-        let sid = self.queue.add_search();
+        // search ids are dense per solve: the next free `searches` slot
+        let sid = self.ws.searches.len() as u32;
         // Seeds (§III-A): every component vertex is a possible exit; its
         // price is the weighted tree delay the component's sinks incur if
         // the connection enters there — Σ_q w(q)·d_tree(y, q). For a
@@ -513,7 +526,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
                 comp.tree_delays_into(self.req.graph, self.req.delay, t_vertex, &mut cs);
                 for &v in comp.vertices() {
                     if let Some(raw) = cs.delay.get(v) {
-                        search.seed_raw_delay.insert(v, raw);
+                        search.seed_raw.push((v, raw));
                     }
                 }
                 // the adjacency built by tree_delays_into is still valid
@@ -524,24 +537,25 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
                 // at zero offset — same result as the general path,
                 // without building the tree-delay tables (the t initial
                 // searches of every solve take this branch)
-                search.seed_raw_delay.insert(t_vertex, 0.0);
+                search.seed_raw.push((t_vertex, 0.0));
                 seeds.push((t_vertex, 0.0));
             }
             self.ws.comp_scratch = cs;
         }
-        seeds.sort_unstable_by_key(|&(v, _)| v); // determinism
+        // sorted for determinism, and for the binary search of
+        // `Search::seed_raw_delay`
+        seeds.sort_unstable_by_key(|&(v, _)| v);
+        search.seed_raw.sort_unstable_by_key(|&(v, _)| v);
+        // component vertices are deduplicated, so every seed is a fresh label
         for &(v, offset) in &seeds {
-            search.labels.insert(v, Label::seed(offset));
-            let h = self.req.future.map_or(0.0, |f| f.bound_nearest(v, w));
-            self.queue.push(sid, v, offset + h);
+            let key = offset + self.req.future.map_or(0.0, |f| f.bound_nearest(v, w));
+            search.labels.set(v, offset, key, NO_PARENT);
+            self.queue.push(sid, v, key, true);
             self.stats.pushed += 1;
         }
         self.ws.seed_scratch = seeds;
         self.ws.terminals[slot].sid = Some(sid);
-        if self.ws.searches.len() <= sid as usize {
-            self.ws.searches.resize_with(sid as usize + 1, || None);
-        }
-        self.ws.searches[sid as usize] = Some(search);
+        self.ws.searches.push(Some(search));
     }
 
     /// Expands searches until the best candidate provably minimizes
@@ -554,7 +568,8 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
     fn run_until_candidate(&mut self) -> Candidate {
         loop {
             let best = self.peek_valid_candidate();
-            let heap_min = self.queue.peek_key();
+            let searches = &self.ws.searches;
+            let heap_min = self.queue.peek_key(|s, v, k| is_queued(searches, s, v, k));
             match (best, heap_min) {
                 (Some((cv, id)), Some(hm)) if cv <= hm + 1e-12 => {
                     return self.take_candidate(id);
@@ -629,17 +644,15 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
     /// Pops one label from the queue, settles it, records arrivals,
     /// relaxes neighbours.
     fn expand_once(&mut self) {
-        let Some((sid, x, _key)) = self.queue.pop() else { return };
-        self.stats.popped += 1;
-        // INVARIANT: remove_search(sid) drains a search's queue entries before free_search retires it, so a popped sid always names a live search.
-        let search = self.ws.searches[sid as usize].as_mut().expect("live search");
-        // INVARIANT: relax creates a vertex's label before pushing it, so every popped vertex is labelled.
-        let lbl = search.labels.get_mut(x).expect("popped vertices are labelled");
-        if lbl.settled {
+        let searches = &self.ws.searches;
+        let Some((sid, x, _key)) = self.queue.pop(|s, v, k| is_queued(searches, s, v, k)) else {
             return;
-        }
-        lbl.settled = true;
-        let g = lbl.dist;
+        };
+        self.stats.popped += 1;
+        // INVARIANT: the queue pops only entries is_queued accepted, and is_queued accepts only entries of a search still in its slot.
+        let search = self.ws.searches[sid as usize].as_mut().expect("live search");
+        // an accepted entry is x's queued label: settling it stales the entry
+        let g = search.labels.settle(x);
         let u = search.terminal;
         let w = search.weight;
         self.stats.settled += 1;
@@ -700,13 +713,13 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         // the borrow checker around `ws.heap`.
         let stats = &mut self.stats;
         let queue = &mut *self.queue;
-        // INVARIANT: same argument as expand_once: remove_search precedes free_search, so sid is live here.
+        // INVARIANT: same argument as above: sid named a live search when it was popped, and nothing retires searches in between.
         let sm = self.ws.searches[sid as usize].as_mut().expect("live search");
         for &(y, e) in &nbrs {
-            // one combined-label probe answers both "already settled?"
-            // and "current distance?"
+            // one record probe answers "already settled?", "current
+            // distance?" and "queued at which key?"
             let prior = sm.labels.get(y);
-            if prior.is_some_and(|l| l.settled) {
+            if prior.is_some_and(|l| l.is_settled()) {
                 continue;
             }
             let len = cost[e as usize] + w * delay[e as usize];
@@ -716,13 +729,30 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
                 if cur.is_finite() {
                     stats.decreased += 1;
                 }
-                let h = fut.map_or(0.0, |f| f.bound_nearest(y, w));
-                sm.labels.insert(y, Label { dist: cand_g, parent: (x, e), settled: false });
-                queue.push(sid, y, cand_g + h);
+                let key = cand_g + fut.map_or(0.0, |f| f.bound_nearest(y, w));
+                match prior {
+                    // decrease-only filing: a key not below the queued
+                    // one (a rounding tie) improves dist and parent but
+                    // files nothing, and the queued entry stays live
+                    Some(l) if key >= l.key => sm.labels.set(y, cand_g, l.key, e),
+                    _ => {
+                        sm.labels.set(y, cand_g, key, e);
+                        queue.push(sid, y, key, prior.is_none());
+                    }
+                }
                 stats.pushed += 1;
             }
         }
         self.ws.nbrs = nbrs;
+    }
+
+    /// Retires search `sid`: its queued labels leave the queue's count
+    /// (their entries die with the search) and its label slab goes back
+    /// to the pool.
+    fn retire_search(&mut self, sid: u32) {
+        let queued = self.ws.searches[sid as usize].as_ref().map_or(0, |s| s.labels.queued());
+        self.queue.forget(queued);
+        self.ws.free_search(sid);
     }
 
     /// Commits a merge: joins components, places the Steiner terminal,
@@ -738,20 +768,19 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         let search = self.ws.searches[sid as usize].as_ref().expect("live search");
         let mut path = std::mem::take(&mut self.ws.path_scratch);
         let mut path_vertices = std::mem::take(&mut self.ws.pathv_scratch);
-        let seed = search.extract_path_into(cand.via, &mut path);
+        let seed = search.extract_path_into(self.req.graph, cand.via, &mut path);
         search.path_vertices_into(self.req.graph, &path, seed, &mut path_vertices);
         // raw (unweighted) tree delay from π(u) to the path's seed — the
         // §III-D re-embedding needs it after the search is retired
-        let seed_raw_u = search.seed_raw_delay.get_or(seed, 0.0);
+        let seed_raw_u = search.seed_raw_delay(seed);
         let target_rep = self.ws.dsu.find(cand.target);
         let l_value = cand.g + self.b_value(u, target_rep, cand.via);
         let iteration = self.stats.merges;
         self.stats.merges += 1;
 
         let is_root = target_rep == self.ws.dsu.find(self.root_slot);
-        // retire u's search (its label slabs go back to the pool)
-        self.queue.remove_search(sid);
-        self.ws.free_search(sid);
+        // retire u's search (its label slab goes back to the pool)
+        self.retire_search(sid);
         self.ws.terminals[u].sid = None;
 
         // INVARIANT: u (a searching terminal, hence its own representative) and target_rep are DSU representatives of distinct live components (the candidate filter rejected same-component pairs), and components live at their representatives.
@@ -797,8 +826,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
             comp.absorb(&mut comp_t, &path, self.req.graph);
             self.ws.free_component(comp_t);
             if let Some(vsid) = self.ws.terminals[v_slot].sid.take() {
-                self.queue.remove_search(vsid);
-                self.ws.free_search(vsid);
+                self.retire_search(vsid);
             }
             self.ws.terminals.push(Terminal {
                 vertex: pos,
@@ -905,7 +933,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         // keep goal-oriented future costs admissible: every path vertex
         // is a valid connection target from now on (§III-C feasibility)
         if let Some(fc) = self.req.future {
-            fc.note_new_targets(path_vertices);
+            fc.note_new_targets(path_vertices, &mut self.ws.target_queue);
         }
         for &v in path_vertices {
             self.ws.push_slot(v, owner);
@@ -927,8 +955,8 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
                 // INVARIANT: sid was checked live at the top of this block and nothing frees searches in between.
                 let search = self.ws.searches[sid as usize].as_ref().expect("checked above");
                 for &v in path_vertices {
-                    if let Some(Label { dist, settled: true, .. }) = search.labels.get(v) {
-                        hits.push((v, dist));
+                    if let Some(l) = search.labels.get(v).filter(|l| l.is_settled()) {
+                        hits.push((v, l.dist));
                     }
                 }
             }

@@ -1,4 +1,8 @@
-//! Epoch-stamped dense vertex tables — the solver's label storage.
+//! Epoch-stamped dense vertex tables — the solver's per-vertex storage
+//! outside the search labels (which are one [`LabelSlab`] record per
+//! vertex).
+//!
+//! [`LabelSlab`]: crate::search::LabelSlab
 //!
 //! The solve path used to keep its per-search and per-component tables
 //! in `HashMap<VertexId, _>`s: with goal-oriented search each table only
@@ -92,17 +96,6 @@ impl<T: Copy + Default> VertexTable<T> {
     #[inline]
     pub fn get_or(&self, v: VertexId, default: T) -> T {
         self.get(v).unwrap_or(default)
-    }
-
-    /// Mutable access to the value at `v`, if present this epoch —
-    /// lets a caller update a field of a record in place with one
-    /// probe instead of a `get`/`insert` pair.
-    #[inline]
-    pub fn get_mut(&mut self, v: VertexId) -> Option<&mut T> {
-        match self.stamp.get(v as usize) {
-            Some(&s) if s == self.epoch => Some(&mut self.val[v as usize]),
-            _ => None,
-        }
     }
 
     /// Whether `v` has a value this epoch.

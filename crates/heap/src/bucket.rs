@@ -28,10 +28,23 @@
 //!   consulted whenever the bucket array drains.
 //!
 //! Deleted and improved labels are removed *lazily*: a bucket entry is
-//! live iff its search is alive and its key bit-equals the label slab's
-//! current best for that (search, vertex); stale entries are pruned
-//! when the cursor meets them. This is why [`BucketQueue::peek_key`]
-//! takes `&mut self`, mirroring [`TwoLevelHeap::peek_key`].
+//! live iff its search is alive and its key equals that (search,
+//! vertex)'s current queued key; stale entries are pruned when the
+//! cursor meets them. This is why [`BucketQueue::peek_key`] takes
+//! `&mut self`, mirroring [`TwoLevelHeap::peek_key`].
+//!
+//! The queue comes in two layers over one bucket algorithm:
+//!
+//! * [`BucketCore`] is the bucket array, the overflow heap, the cursor
+//!   and the count of queued labels — and no per-search state. Whoever
+//!   already stores each label's queued key (the CD solver keeps it in
+//!   its label record) passes the liveness test to
+//!   [`peek_key`](BucketCore::peek_key) / [`pop`](BucketCore::pop) as a
+//!   closure, so a (search, vertex) pair costs no second slab here.
+//! * [`BucketQueue`] is the core plus one epoch-stamped key slab per
+//!   search: the self-contained [`LabelQueue`](crate::LabelQueue) that
+//!   the pop-sequence proptest holds to [`TwoLevelHeap`] and the
+//!   benchmark's queue row times.
 //!
 //! [`TwoLevelHeap`]: crate::TwoLevelHeap
 //! [`TwoLevelHeap::peek_key`]: crate::TwoLevelHeap::peek_key
@@ -59,8 +72,8 @@ type Entry = Reverse<u128>;
 /// `OrderedF64`, which both queue backends historically shared)
 /// `-0.0 == +0.0`, so the tie must fall through to `(search, vertex)`
 /// — the raw bit images would instead sort every `-0.0` strictly
-/// first. The canonicalization is invisible to the label slab's
-/// liveness check, which compares keys with `f64` equality.
+/// first. The canonicalization is invisible to the liveness test,
+/// which compares keys with `f64` equality.
 #[inline]
 fn pack(key: f64, search: u32, vertex: u32) -> u128 {
     let b = (key + 0.0).to_bits(); // -0.0 + 0.0 == +0.0; identity otherwise
@@ -132,35 +145,38 @@ impl KeySlab {
     }
 }
 
-/// Where [`BucketQueue::settle_min`] found the global minimum.
+/// Where [`BucketCore::settle_min`] found the global minimum.
 #[derive(Clone, Copy)]
 enum Loc {
     Main(usize),
     Overflow,
 }
 
-/// Monotone bucket queue over (search, vertex, key) triples — the Dial
-/// alternative to [`TwoLevelHeap`](crate::TwoLevelHeap), sharing its
-/// exact surface *and its exact pop order* `(key, search, vertex)`
-/// (pinned by the `pop_sequence_matches_two_level_heap` proptest), so
-/// the goldens recorded over the heap stay valid over this queue.
+/// The bucket algorithm without per-search state: files
+/// (search, vertex, key) entries and extracts them in the total
+/// `(key, search, vertex)` order, asking the caller which entries are
+/// still live.
+///
+/// The caller owns each label's queued key and keeps the core's count
+/// of queued labels exact: a [`push`](Self::push) says whether it
+/// queues a new label or supersedes the label's previous entry, a
+/// successful [`pop`](Self::pop) counts one label out, and
+/// [`forget`](Self::forget) counts out the labels of a retired search.
+/// An empty count answers `None` without touching the buckets, so the
+/// count also decides how far the cursor scans.
 ///
 /// ```
-/// use cds_heap::BucketQueue;
-/// let mut q = BucketQueue::new();
-/// q.begin_solve(1.0); // quantum: min positive edge cost
-/// let a = q.add_search();
-/// let b = q.add_search();
-/// q.push(a, 10, 2.0);
-/// q.push(b, 20, 1.0);
-/// q.push(a, 11, 3.0);
-/// assert_eq!(q.pop(), Some((b, 20, 1.0)));
-/// assert_eq!(q.pop(), Some((a, 10, 2.0)));
-/// assert_eq!(q.pop(), Some((a, 11, 3.0)));
-/// assert_eq!(q.pop(), None);
+/// use cds_heap::BucketCore;
+/// let mut q = BucketCore::new();
+/// q.begin_solve(1.0);
+/// q.push(0, 10, 2.0, true);
+/// q.push(0, 10, 1.0, false); // decrease-key: the 2.0 entry goes stale
+/// let live = |_s: u32, _v: u32, k: f64| k == 1.0;
+/// assert_eq!(q.pop(live), Some((0, 10, 1.0)));
+/// assert_eq!(q.pop(live), None);
 /// ```
 #[derive(Debug)]
-pub struct BucketQueue {
+pub struct BucketCore {
     /// `1 / quantum`; multiplying is cheaper than dividing per push.
     quantum_inv: f64,
     /// Direct-mapped buckets, each a tiny min-heap in the total order.
@@ -176,31 +192,28 @@ pub struct BucketQueue {
     /// No live entry sits in `buckets[..scan_from]`; pushes below the
     /// cursor rewind it (keys are not assumed monotone).
     scan_from: usize,
-    slabs: Vec<Option<KeySlab>>,
-    pool: Vec<KeySlab>,
+    /// Labels queued (one live entry each).
     len: usize,
     scans: u64,
 }
 
-impl Default for BucketQueue {
+impl Default for BucketCore {
     fn default() -> Self {
-        BucketQueue {
+        BucketCore {
             quantum_inv: 1.0,
             buckets: (0..NUM_BUCKETS).map(|_| BinaryHeap::new()).collect(),
             bucket_gen: vec![0; NUM_BUCKETS],
             epoch: 1,
             overflow: BinaryHeap::new(),
             scan_from: NUM_BUCKETS,
-            slabs: Vec::new(),
-            pool: Vec::new(),
             len: 0,
             scans: 0,
         }
     }
 }
 
-impl BucketQueue {
-    /// Creates an empty queue with a quantum of 1.0; call
+impl BucketCore {
+    /// Creates an empty core with a quantum of 1.0; call
     /// [`begin_solve`](Self::begin_solve) to set the per-solve quantum.
     pub fn new() -> Self {
         Self::default()
@@ -218,42 +231,9 @@ impl BucketQueue {
         self.quantum_inv = if quantum.is_finite() && quantum > 0.0 { quantum.recip() } else { 1.0 };
     }
 
-    /// Registers a new search and returns its id.
-    pub fn add_search(&mut self) -> u32 {
-        let id = self.slabs.len() as u32;
-        let slab = self.pool.pop().unwrap_or_default();
-        debug_assert_eq!(slab.live, 0, "pooled slabs are cleared on retire");
-        self.slabs.push(Some(slab));
-        id
-    }
-
-    /// Drops a search and all its queued labels; its bucket entries are
-    /// pruned lazily when the scan cursor meets them. The slab's
-    /// storage is retained for the next [`add_search`](Self::add_search).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `search` was never added.
-    pub fn remove_search(&mut self, search: u32) {
-        let slot = &mut self.slabs[search as usize];
-        if let Some(mut slab) = slot.take() {
-            self.len -= slab.live;
-            slab.clear();
-            self.pool.push(slab);
-        }
-    }
-
-    /// Removes every search and label while keeping all allocations.
-    /// After `clear`, search ids restart from zero. Used buckets are
+    /// Drops every entry while keeping all allocations. Used buckets are
     /// invalidated by one epoch bump, not walked.
     pub fn clear(&mut self) {
-        for slot in &mut self.slabs {
-            if let Some(mut slab) = slot.take() {
-                slab.clear();
-                self.pool.push(slab);
-            }
-        }
-        self.slabs.clear();
         if self.epoch == u32::MAX {
             for b in &mut self.buckets {
                 b.clear();
@@ -269,12 +249,7 @@ impl BucketQueue {
         self.scans = 0;
     }
 
-    /// Whether `search` is still alive.
-    pub fn is_alive(&self, search: u32) -> bool {
-        self.slabs.get(search as usize).is_some_and(|s| s.is_some())
-    }
-
-    /// Total number of queued labels over all live searches.
+    /// Number of queued labels.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -311,12 +286,211 @@ impl BucketQueue {
         &mut self.buckets[b]
     }
 
-    /// Whether a queued entry is live: its search alive and its key
-    /// bit-equal to the slab's best (improvements are strict decreases,
-    /// so an equal key can only be the entry that recorded it).
+    /// Files an entry for `vertex` of `search` at `key`. `fresh` says
+    /// the label was not queued before and counts it in; otherwise the
+    /// entry supersedes the label's previous one, which the caller's
+    /// liveness test must reject from now on. The caller records `key`
+    /// as the label's queued key — the core keeps no copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is NaN.
     #[inline]
-    fn is_live(&self, search: u32, vertex: u32, key: f64) -> bool {
-        self.slabs[search as usize].as_ref().is_some_and(|s| s.get(vertex) == Some(key))
+    pub fn push(&mut self, search: u32, vertex: u32, key: f64, fresh: bool) {
+        assert!(!key.is_nan(), "NaN key");
+        self.len += usize::from(fresh);
+        let b = self.bucket_of(key);
+        let entry = Reverse(pack(key, search, vertex));
+        if b == NUM_BUCKETS {
+            self.overflow.push(entry);
+        } else {
+            self.bucket(b).push(entry);
+            if b < self.scan_from {
+                self.scan_from = b;
+            }
+        }
+    }
+
+    /// Counts out `n` queued labels whose entries the caller's liveness
+    /// test now rejects wholesale (a retired search); the entries are
+    /// pruned lazily when the cursor meets them.
+    pub fn forget(&mut self, n: usize) {
+        self.len -= n;
+    }
+
+    /// Minimum live key, if any. `&mut self` for the same reason as
+    /// [`TwoLevelHeap::peek_key`](crate::TwoLevelHeap::peek_key):
+    /// deletions are lazy, and answering the question prunes dead
+    /// entries and advances the scan cursor. `live(search, vertex,
+    /// key)` tells a live entry from a stale one.
+    pub fn peek_key(&mut self, live: impl Fn(u32, u32, f64) -> bool) -> Option<f64> {
+        self.settle_min(&live).map(|loc| {
+            let Reverse(e) = *match loc {
+                // INVARIANT: settle_min returns a location only after discarding dead tops and observing a live entry there.
+                Loc::Main(b) => self.buckets[b].peek().expect("settled bucket has a live top"),
+                // INVARIANT: settle_min discards dead overflow tops before returning Loc::Overflow.
+                Loc::Overflow => self.overflow.peek().expect("settled overflow has a live top"),
+            };
+            unpack(e).0
+        })
+    }
+
+    /// Extracts the globally smallest live (search, vertex, key) under
+    /// the total `(key, search, vertex)` order and counts its label out
+    /// of the queue; the caller must stop reporting it live.
+    pub fn pop(&mut self, live: impl Fn(u32, u32, f64) -> bool) -> Option<(u32, u32, f64)> {
+        let loc = self.settle_min(&live)?;
+        let Reverse(e) = match loc {
+            Loc::Main(b) => self.buckets[b].pop(),
+            Loc::Overflow => self.overflow.pop(),
+        }
+        // INVARIANT: settle_min just observed a live top at loc, and nothing popped between.
+        .expect("settled location has a live top");
+        let (k, search, vertex) = unpack(e);
+        self.len -= 1;
+        Some((search, vertex, k))
+    }
+
+    /// Locates the global minimum live entry, pruning stale entries and
+    /// advancing the cursor past drained buckets on the way. Quantized
+    /// bucket ranges are disjoint and ordered, so the first bucket with
+    /// a live top holds the minimum key, its per-bucket heap breaks the
+    /// in-bucket tie exactly, and the overflow heap (all keys beyond
+    /// the span) is correct to consult only when the array is empty.
+    fn settle_min(&mut self, live: &impl Fn(u32, u32, f64) -> bool) -> Option<Loc> {
+        if self.len == 0 {
+            return None;
+        }
+        while self.scan_from < NUM_BUCKETS {
+            let b = self.scan_from;
+            while let Some(&Reverse(e)) = self.bucket(b).peek() {
+                let (k, s, v) = unpack(e);
+                if live(s, v, k) {
+                    return Some(Loc::Main(b));
+                }
+                self.bucket(b).pop();
+            }
+            self.scan_from += 1;
+            self.scans += 1;
+        }
+        loop {
+            let &Reverse(e) = self.overflow.peek()?;
+            let (k, s, v) = unpack(e);
+            if live(s, v, k) {
+                return Some(Loc::Overflow);
+            }
+            self.overflow.pop();
+        }
+    }
+}
+
+/// Monotone bucket queue over (search, vertex, key) triples — the Dial
+/// alternative to [`TwoLevelHeap`](crate::TwoLevelHeap), sharing its
+/// exact surface *and its exact pop order* `(key, search, vertex)`
+/// (pinned by the `pop_sequence_matches_two_level_heap` proptest), so
+/// the goldens recorded over the heap stay valid over this queue.
+/// It is a [`BucketCore`] plus one key slab per search.
+///
+/// ```
+/// use cds_heap::BucketQueue;
+/// let mut q = BucketQueue::new();
+/// q.begin_solve(1.0); // quantum: min positive edge cost
+/// let a = q.add_search();
+/// let b = q.add_search();
+/// q.push(a, 10, 2.0);
+/// q.push(b, 20, 1.0);
+/// q.push(a, 11, 3.0);
+/// assert_eq!(q.pop(), Some((b, 20, 1.0)));
+/// assert_eq!(q.pop(), Some((a, 10, 2.0)));
+/// assert_eq!(q.pop(), Some((a, 11, 3.0)));
+/// assert_eq!(q.pop(), None);
+/// ```
+#[derive(Debug, Default)]
+pub struct BucketQueue {
+    core: BucketCore,
+    slabs: Vec<Option<KeySlab>>,
+    pool: Vec<KeySlab>,
+}
+
+/// Whether a queued entry is live: its search alive and its key equal
+/// to the slab's best (improvements are strict decreases, so an equal
+/// key can only be the entry that recorded it).
+#[inline]
+fn slab_live(slabs: &[Option<KeySlab>], search: u32, vertex: u32, key: f64) -> bool {
+    slabs[search as usize].as_ref().is_some_and(|s| s.get(vertex) == Some(key))
+}
+
+impl BucketQueue {
+    /// Creates an empty queue with a quantum of 1.0; call
+    /// [`begin_solve`](Self::begin_solve) to set the per-solve quantum.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Resets for a new solve with the given key quantum; see
+    /// [`BucketCore::begin_solve`]. All allocations are kept.
+    pub fn begin_solve(&mut self, quantum: f64) {
+        self.clear();
+        self.core.begin_solve(quantum);
+    }
+
+    /// Registers a new search and returns its id.
+    pub fn add_search(&mut self) -> u32 {
+        let id = self.slabs.len() as u32;
+        let slab = self.pool.pop().unwrap_or_default();
+        debug_assert_eq!(slab.live, 0, "pooled slabs are cleared on retire");
+        self.slabs.push(Some(slab));
+        id
+    }
+
+    /// Drops a search and all its queued labels; its bucket entries are
+    /// pruned lazily when the scan cursor meets them. The slab's
+    /// storage is retained for the next [`add_search`](Self::add_search).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `search` was never added.
+    pub fn remove_search(&mut self, search: u32) {
+        let slot = &mut self.slabs[search as usize];
+        if let Some(mut slab) = slot.take() {
+            self.core.forget(slab.live);
+            slab.clear();
+            self.pool.push(slab);
+        }
+    }
+
+    /// Removes every search and label while keeping all allocations.
+    /// After `clear`, search ids restart from zero.
+    pub fn clear(&mut self) {
+        for slot in &mut self.slabs {
+            if let Some(mut slab) = slot.take() {
+                slab.clear();
+                self.pool.push(slab);
+            }
+        }
+        self.slabs.clear();
+        self.core.clear();
+    }
+
+    /// Whether `search` is still alive.
+    pub fn is_alive(&self, search: u32) -> bool {
+        self.slabs.get(search as usize).is_some_and(|s| s.is_some())
+    }
+
+    /// Total number of queued labels over all live searches.
+    pub fn len(&self) -> usize {
+        self.core.len()
+    }
+
+    /// Whether no labels are queued.
+    pub fn is_empty(&self) -> bool {
+        self.core.is_empty()
+    }
+
+    /// Buckets the cursor advanced over since
+    /// [`begin_solve`](Self::begin_solve).
+    pub fn scans(&self) -> u64 {
+        self.core.scans()
     }
 
     /// Queues (or improves) the label of `vertex` in `search`.
@@ -334,91 +508,32 @@ impl BucketQueue {
         match slab.get(vertex) {
             Some(cur) if key >= cur => false,
             prior => {
-                if prior.is_none() {
-                    slab.live += 1;
-                    self.len += 1;
-                }
+                let fresh = prior.is_none();
+                slab.live += usize::from(fresh);
                 slab.set(vertex, key);
-                let b = self.bucket_of(key);
-                let entry = Reverse(pack(key, search, vertex));
-                if b == NUM_BUCKETS {
-                    self.overflow.push(entry);
-                } else {
-                    self.bucket(b).push(entry);
-                    if b < self.scan_from {
-                        self.scan_from = b;
-                    }
-                }
+                self.core.push(search, vertex, key, fresh);
                 true
             }
         }
     }
 
-    /// Minimum key over all searches, if any. `&mut self` for the same
-    /// reason as [`TwoLevelHeap::peek_key`](crate::TwoLevelHeap::peek_key):
-    /// deletions are lazy, and answering the question prunes dead
-    /// entries and advances the scan cursor.
+    /// Minimum key over all searches, if any; see
+    /// [`BucketCore::peek_key`].
     pub fn peek_key(&mut self) -> Option<f64> {
-        self.settle_min().map(|loc| {
-            let Reverse(e) = *match loc {
-                // INVARIANT: settle_min returns a location only after discarding dead tops and observing a live entry there.
-                Loc::Main(b) => self.buckets[b].peek().expect("settled bucket has a live top"),
-                // INVARIANT: settle_min discards dead overflow tops before returning Loc::Overflow.
-                Loc::Overflow => self.overflow.peek().expect("settled overflow has a live top"),
-            };
-            unpack(e).0
-        })
+        let slabs = &self.slabs;
+        self.core.peek_key(|s, v, k| slab_live(slabs, s, v, k))
     }
 
     /// Extracts the globally smallest (search, vertex, key) under the
     /// total `(key, search, vertex)` order.
     pub fn pop(&mut self) -> Option<(u32, u32, f64)> {
-        let loc = self.settle_min()?;
-        let Reverse(e) = match loc {
-            Loc::Main(b) => self.buckets[b].pop(),
-            Loc::Overflow => self.overflow.pop(),
-        }
-        // INVARIANT: settle_min just observed a live top at loc, and nothing popped between.
-        .expect("settled location has a live top");
-        let (k, search, vertex) = unpack(e);
-        // INVARIANT: a search's slab outlives its queue entries: remove_search clears entries before the slab is freed.
+        let slabs = &self.slabs;
+        let (search, vertex, k) = self.core.pop(|s, v, k| slab_live(slabs, s, v, k))?;
+        // INVARIANT: the core pops only entries slab_live accepted, and slab_live accepts only entries of a search whose slab is present.
         let slab = self.slabs[search as usize].as_mut().expect("live entry has a live search");
         slab.remove(vertex);
         slab.live -= 1;
-        self.len -= 1;
         Some((search, vertex, k))
-    }
-
-    /// Locates the global minimum live entry, pruning stale entries and
-    /// advancing the cursor past drained buckets on the way. Quantized
-    /// bucket ranges are disjoint and ordered, so the first bucket with
-    /// a live top holds the minimum key, its per-bucket heap breaks the
-    /// in-bucket tie exactly, and the overflow heap (all keys beyond
-    /// the span) is correct to consult only when the array is empty.
-    fn settle_min(&mut self) -> Option<Loc> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.scan_from < NUM_BUCKETS {
-            let b = self.scan_from;
-            while let Some(&Reverse(e)) = self.bucket(b).peek() {
-                let (k, s, v) = unpack(e);
-                if self.is_live(s, v, k) {
-                    return Some(Loc::Main(b));
-                }
-                self.bucket(b).pop();
-            }
-            self.scan_from += 1;
-            self.scans += 1;
-        }
-        loop {
-            let &Reverse(e) = self.overflow.peek()?;
-            let (k, s, v) = unpack(e);
-            if self.is_live(s, v, k) {
-                return Some(Loc::Overflow);
-            }
-            self.overflow.pop();
-        }
     }
 }
 
@@ -555,6 +670,46 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn core_pop_skips_entries_the_liveness_closure_rejects() {
+        // the caller's key table is the only liveness record: a
+        // superseded entry and an entry of a retired search are skipped
+        let mut q = BucketCore::new();
+        q.begin_solve(1.0);
+        let mut queued = [f64::NAN; 4]; // vertex → queued key of search 0
+        for (v, k) in [(0u32, 3.0), (1, 2.0), (2, 5.0)] {
+            q.push(0, v, k, true);
+            queued[v as usize] = k;
+        }
+        q.push(0, 2, 1.0, false); // decrease-key supersedes the 5.0 entry
+        queued[2] = 1.0;
+        q.push(1, 3, 0.5, true); // search 1, retired below
+        q.forget(1);
+        let live = |s: u32, v: u32, k: f64| s == 0 && queued[v as usize] == k;
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_key(live), Some(1.0), "the retired search's 0.5 is skipped");
+        assert_eq!(q.pop(live), Some((0, 2, 1.0)));
+        assert_eq!(q.pop(live), Some((0, 1, 2.0)));
+        assert_eq!(q.pop(live), Some((0, 0, 3.0)));
+        assert_eq!(q.pop(live), None, "the stale 5.0 entry is never returned");
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn an_empty_core_answers_without_advancing_the_cursor() {
+        // entries remain filed, but no label is queued: the count, not
+        // a bucket walk, answers — so `scans` (a pinned kernel counter)
+        // does not move
+        let mut q = BucketCore::new();
+        q.begin_solve(1.0);
+        q.push(3, 7, 100.5, true);
+        q.forget(1);
+        let everything_live = |_: u32, _: u32, _: f64| true;
+        assert_eq!(q.peek_key(everything_live), None);
+        assert_eq!(q.pop(everything_live), None);
+        assert_eq!(q.scans(), 0);
     }
 
     #[test]

@@ -13,16 +13,22 @@
 //! * [`TwoLevelHeap`] — the paper's structure (§III-B), including the
 //!   "operate with a single sink heap until the minimum label in the
 //!   top-level heap is exceeded" fast path,
-//! * [`BucketQueue`] — a monotone bucket (Dial) queue over quantized
+//! * [`BucketCore`] — a monotone bucket (Dial) queue over quantized
 //!   keys: grid edge costs are bounded and near-uniform, so an indexed
 //!   bucket array replaces `O(log n)` heap sifts on the solver's hot
-//!   path.
+//!   path. The core keeps no per-search state: the caller stores each
+//!   label's queued key and answers its liveness test,
+//! * [`BucketQueue`] — the core plus one key slab per search, a
+//!   self-contained queue.
 //!
 //! [`TwoLevelHeap`] and [`BucketQueue`] share the [`LabelQueue`] surface
 //! *and the total pop order* `(key, search, vertex)`, pinned by the
 //! pop-sequence proptest in [`bucket`]. The solver runs on
-//! [`BucketQueue`]; [`TwoLevelHeap`] is the paper's structure, that
-//! proptest's reference, and the comparison row of the benchmark.
+//! [`BucketCore`] with the queued keys in its own label records;
+//! [`BucketQueue`] is the same bucket algorithm behind the
+//! [`LabelQueue`] surface, which that proptest holds to
+//! [`TwoLevelHeap`] (the paper's structure) and the benchmark's two
+//! queue rows time side by side.
 //!
 //! # Examples
 //!
@@ -43,7 +49,7 @@ pub mod indexed;
 pub mod ordered;
 pub mod two_level;
 
-pub use bucket::BucketQueue;
+pub use bucket::{BucketCore, BucketQueue};
 pub use indexed::{IndexedBinaryHeap, TieStampedIndexedHeap};
 pub use ordered::OrderedF64;
 pub use two_level::TwoLevelHeap;
