@@ -14,12 +14,13 @@
 //! The solver is generic over [`SteinerGraph`], so the same code routes
 //! a whole [`Graph`](cds_graph::Graph) and a zero-copy
 //! [`WindowView`](cds_graph::WindowView) of the global grid. All
-//! per-solve state lives in dense, epoch-stamped slabs pooled by the
-//! [`SolverWorkspace`] — one 24-byte [`Label`](crate::search::Label)
-//! record per (search, vertex), whose queue key doubles as the bucket
-//! queue's liveness record, and [`VertexTable`]s for the rest: clearing
-//! is an epoch bump, and a warm workspace solves without touching the
-//! allocator.
+//! per-solve state lives in epoch-stamped storage pooled by the
+//! [`SolverWorkspace`] — 16-byte [`Label`](crate::search::Label)
+//! records in 2 KB pages of one [`LabelStore`], which a search takes
+//! only for the 128-vertex ranges it writes (an unsettled label is also
+//! the bucket queue's liveness record), and [`VertexTable`]s for the
+//! rest: clearing is an epoch bump or a page hand-back, and a warm
+//! workspace solves without touching the allocator.
 //!
 //! Enhancements (all individually toggleable in [`SessionConfig`]):
 //! §III-A component reuse (searches are seeded with the whole component
@@ -30,7 +31,7 @@
 
 use crate::assemble::AssembleScratch;
 use crate::components::{CompScratch, Component, Dsu, TerminalId};
-use crate::search::{Search, NO_PARENT};
+use crate::search::{LabelStore, Search, NO_PARENT};
 use crate::session::{Request, SessionConfig};
 use crate::table::VertexTable;
 use cds_graph::{EdgeId, SteinerGraph, VertexId};
@@ -229,16 +230,18 @@ struct Candidate {
     g: f64,
 }
 
-/// The reusable buffers of one solver run: terminals, per-search label
-/// slabs, the label queue, candidate stores, component pools, and
-/// the dense scratch arenas for merge-time tables and tree assembly.
+/// The reusable buffers of one solver run: terminals, searches and the
+/// label pages they share, the label queue, candidate stores, component
+/// pools, and the dense scratch arenas for merge-time tables and tree
+/// assembly.
 ///
 /// A workspace holds no semantic state between solves — only warmed-up
 /// capacity. [`reset`](Self::reset) (called automatically by every
 /// solve) clears contents but returns searches and components to
 /// internal pools instead of dropping them; every
 /// vertex-keyed table is an epoch-stamped [`VertexTable`] whose clear is
-/// `O(1)`. This is where the session API's allocation savings come
+/// `O(1)`, and every label page is back in the store's free list. This
+/// is where the session API's allocation savings come
 /// from. Create one through [`Solver`](crate::Solver), or directly with
 /// [`SolverWorkspace::new`] for caller-managed pools (e.g. one per
 /// router worker thread).
@@ -248,6 +251,8 @@ pub struct SolverWorkspace {
     dsu: Dsu,
     bucket: BucketCore,
     searches: Vec<Option<Search>>,
+    /// The label pages every search of a solve draws from.
+    labels: LabelStore,
     /// vertex → head of its slot list in `slot_links` (stale slots
     /// resolved through the DSU at query time)
     slot_head: VertexTable<u32>,
@@ -258,7 +263,7 @@ pub struct SolverWorkspace {
     /// For root-component vertices: total already-routed sink weight
     /// downstream (rebuilt after every root merge).
     root_downstream: VertexTable<f64>,
-    /// Retired [`Search`] label slabs, cleared, awaiting reuse.
+    /// Retired [`Search`]es, their pages given back, awaiting reuse.
     search_pool: Vec<Search>,
     /// Retired [`Component`] buffers, cleared, awaiting reuse.
     component_pool: Vec<Component>,
@@ -320,11 +325,12 @@ impl SolverWorkspace {
         }
         for slot in &mut self.searches {
             if let Some(mut s) = slot.take() {
-                s.reset(0, 0.0, 0);
+                self.labels.release(&mut s.labels);
                 self.search_pool.push(s);
             }
         }
         self.searches.clear();
+        self.labels.end_solve();
         self.dsu.clear();
         self.bucket.clear();
         self.slot_head.clear();
@@ -376,27 +382,41 @@ impl SolverWorkspace {
     fn alloc_search(&mut self, terminal: TerminalId, weight: f64, origin: VertexId) -> Search {
         match self.search_pool.pop() {
             Some(mut s) => {
-                s.reset(terminal, weight, origin);
+                s.reset(&mut self.labels, terminal, weight, origin);
                 s
             }
-            None => Search::new(terminal, weight, origin),
+            None => Search::new(&mut self.labels, terminal, weight, origin),
         }
     }
 
-    /// Retires a search, returning its label slab to the pool.
+    /// Retires a search: its pages go back to the store, the search to
+    /// the pool.
     fn free_search(&mut self, sid: u32) {
         if let Some(mut s) = self.searches[sid as usize].take() {
-            s.reset(0, 0.0, 0);
+            self.labels.release(&mut s.labels);
             self.search_pool.push(s);
         }
     }
 }
 
-/// The bucket queue's liveness test: entry `(sid, v, key)` is live iff
-/// search `sid` is still running and holds `v` queued at exactly `key`.
+/// The bucket queue's liveness test: an entry of search `sid` for `v`
+/// is live iff the search is still running and `v`'s label is
+/// unsettled. The entry's key is not consulted.
+///
+/// This is exact — a superseded entry is never taken for live — because
+/// the keys filed for one (search, vertex) never increase: a new entry
+/// is filed only when `dist` strictly falls, the future-cost bound
+/// added to it only falls (`GridFutureCost::note_new_targets` lowers
+/// it, nothing raises it), and f64 rounding is monotone, so the sum
+/// does not rise. A superseded entry therefore sits behind (or, on a
+/// rounding tie, is identical to) its replacement in the queue's
+/// `(key, search, vertex)` order, and by the time the queue reaches it
+/// the replacement has popped and settled the label: it meets a settled
+/// label and is pruned. Pop order, peeked keys and `bucket_scans` are
+/// those of comparing the entry's key against the label's queued one.
 #[inline]
-fn is_queued(searches: &[Option<Search>], sid: u32, v: VertexId, key: f64) -> bool {
-    searches[sid as usize].as_ref().is_some_and(|s| s.labels.is_queued(v, key))
+fn is_queued(searches: &[Option<Search>], store: &LabelStore, sid: u32, v: VertexId) -> bool {
+    searches[sid as usize].as_ref().is_some_and(|s| s.labels.is_queued(store, v))
 }
 
 struct State<'w, 'a, 'r, G: ?Sized> {
@@ -497,7 +517,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
     }
 
     /// Starts (or restarts) the Dijkstra of terminal `slot`, drawing the
-    /// search's label slab from the workspace pool.
+    /// search from the workspace pool.
     fn start_search(&mut self, slot: TerminalId) {
         let (t_weight, t_vertex) = {
             let t = &self.ws.terminals[slot];
@@ -549,7 +569,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         // component vertices are deduplicated, so every seed is a fresh label
         for &(v, offset) in &seeds {
             let key = offset + self.req.future.map_or(0.0, |f| f.bound_nearest(v, w));
-            search.labels.set(v, offset, key, NO_PARENT);
+            search.labels.set(&mut self.ws.labels, v, offset, NO_PARENT);
             self.queue.push(sid, v, key, true);
             self.stats.pushed += 1;
         }
@@ -568,8 +588,8 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
     fn run_until_candidate(&mut self) -> Candidate {
         loop {
             let best = self.peek_valid_candidate();
-            let searches = &self.ws.searches;
-            let heap_min = self.queue.peek_key(|s, v, k| is_queued(searches, s, v, k));
+            let (searches, store) = (&self.ws.searches, &self.ws.labels);
+            let heap_min = self.queue.peek_key(|s, v, _| is_queued(searches, store, s, v));
             match (best, heap_min) {
                 (Some((cv, id)), Some(hm)) if cv <= hm + 1e-12 => {
                     return self.take_candidate(id);
@@ -644,15 +664,16 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
     /// Pops one label from the queue, settles it, records arrivals,
     /// relaxes neighbours.
     fn expand_once(&mut self) {
-        let searches = &self.ws.searches;
-        let Some((sid, x, _key)) = self.queue.pop(|s, v, k| is_queued(searches, s, v, k)) else {
+        let (searches, store) = (&self.ws.searches, &self.ws.labels);
+        let Some((sid, x, _key)) = self.queue.pop(|s, v, _| is_queued(searches, store, s, v))
+        else {
             return;
         };
         self.stats.popped += 1;
         // INVARIANT: the queue pops only entries is_queued accepted, and is_queued accepts only entries of a search still in its slot.
         let search = self.ws.searches[sid as usize].as_mut().expect("live search");
         // an accepted entry is x's queued label: settling it stales the entry
-        let g = search.labels.settle(x);
+        let g = search.labels.settle(&mut self.ws.labels, x);
         let u = search.terminal;
         let w = search.weight;
         self.stats.settled += 1;
@@ -713,12 +734,13 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         // the borrow checker around `ws.heap`.
         let stats = &mut self.stats;
         let queue = &mut *self.queue;
+        let store = &mut self.ws.labels;
         // INVARIANT: same argument as above: sid named a live search when it was popped, and nothing retires searches in between.
         let sm = self.ws.searches[sid as usize].as_mut().expect("live search");
         for &(y, e) in &nbrs {
-            // one record probe answers "already settled?", "current
-            // distance?" and "queued at which key?"
-            let prior = sm.labels.get(y);
+            // one record probe answers "already settled?" and "current
+            // distance?"
+            let prior = sm.labels.get(store, y);
             if prior.is_some_and(|l| l.is_settled()) {
                 continue;
             }
@@ -730,16 +752,11 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
                     stats.decreased += 1;
                 }
                 let key = cand_g + fut.map_or(0.0, |f| f.bound_nearest(y, w));
-                match prior {
-                    // decrease-only filing: a key not below the queued
-                    // one (a rounding tie) improves dist and parent but
-                    // files nothing, and the queued entry stays live
-                    Some(l) if key >= l.key => sm.labels.set(y, cand_g, l.key, e),
-                    _ => {
-                        sm.labels.set(y, cand_g, key, e);
-                        queue.push(sid, y, key, prior.is_none());
-                    }
-                }
+                // every improvement is filed: its key is never above the
+                // queued one (see `is_queued`), and a rounding tie files
+                // a copy of the queued entry that pops dead
+                sm.labels.set(store, y, cand_g, e);
+                queue.push(sid, y, key, prior.is_none());
                 stats.pushed += 1;
             }
         }
@@ -747,8 +764,8 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
     }
 
     /// Retires search `sid`: its queued labels leave the queue's count
-    /// (their entries die with the search) and its label slab goes back
-    /// to the pool.
+    /// (their entries die with the search) and its label pages go back
+    /// to the store.
     fn retire_search(&mut self, sid: u32) {
         let queued = self.ws.searches[sid as usize].as_ref().map_or(0, |s| s.labels.queued());
         self.queue.forget(queued);
@@ -768,7 +785,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         let search = self.ws.searches[sid as usize].as_ref().expect("live search");
         let mut path = std::mem::take(&mut self.ws.path_scratch);
         let mut path_vertices = std::mem::take(&mut self.ws.pathv_scratch);
-        let seed = search.extract_path_into(self.req.graph, cand.via, &mut path);
+        let seed = search.extract_path_into(&self.ws.labels, self.req.graph, cand.via, &mut path);
         search.path_vertices_into(self.req.graph, &path, seed, &mut path_vertices);
         // raw (unweighted) tree delay from π(u) to the path's seed — the
         // §III-D re-embedding needs it after the search is retired
@@ -779,7 +796,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         self.stats.merges += 1;
 
         let is_root = target_rep == self.ws.dsu.find(self.root_slot);
-        // retire u's search (its label slab goes back to the pool)
+        // retire u's search (its label pages go back to the store)
         self.retire_search(sid);
         self.ws.terminals[u].sid = None;
 
@@ -955,7 +972,9 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
                 // INVARIANT: sid was checked live at the top of this block and nothing frees searches in between.
                 let search = self.ws.searches[sid as usize].as_ref().expect("checked above");
                 for &v in path_vertices {
-                    if let Some(l) = search.labels.get(v).filter(|l| l.is_settled()) {
+                    if let Some(l) =
+                        search.labels.get(&self.ws.labels, v).filter(|l| l.is_settled())
+                    {
                         hits.push((v, l.dist));
                     }
                 }
@@ -966,5 +985,36 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
             self.ws.hit_scratch = hits;
         }
         self.ws.sid_scratch = sids;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Solver;
+    use cds_graph::GridSpec;
+
+    #[test]
+    fn a_solve_gives_every_label_page_back() {
+        let grid = GridSpec::uniform(40, 40, 2).build();
+        let (c, d) = (grid.graph().base_costs(), grid.graph().delays());
+        let sinks: Vec<VertexId> = [(39, 3), (5, 38), (38, 36), (20, 20), (30, 9)]
+            .map(|(x, y)| grid.vertex(x, y, 0))
+            .into();
+        let weights = [0.5, 1.0, 2.0, 0.25, 1.5];
+        let req = Request::new(grid.graph(), &c, &d, grid.vertex(0, 0, 0), &sinks, &weights);
+        let mut ws = SolverWorkspace::new();
+        let first = Solver::solve_with(&SessionConfig::default(), &mut ws, &req);
+        // every search retired on its merge, its pages back in the store
+        let pages = ws.labels.pages();
+        assert!(pages > 0);
+        assert_eq!(ws.labels.free_pages(), pages, "a retired search kept its pages");
+        assert!(ws.search_pool.iter().all(|s| s.labels.pages_held() == 0));
+        // a warm store serves the same solve without growing
+        let again = Solver::solve_with(&SessionConfig::default(), &mut ws, &req);
+        assert_eq!(again.evaluation.total.to_bits(), first.evaluation.total.to_bits());
+        assert_eq!(ws.labels.pages(), pages);
+        ws.reset();
+        assert_eq!(ws.labels.free_pages(), ws.labels.pages());
     }
 }

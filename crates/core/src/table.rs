@@ -1,8 +1,10 @@
 //! Epoch-stamped dense vertex tables — the solver's per-vertex storage
-//! outside the search labels (which are one [`LabelSlab`] record per
-//! vertex).
+//! outside the search labels (which a [`LabelSlab`] pages into the
+//! workspace's [`LabelStore`], so a search holds records only for the
+//! vertex ranges it touches).
 //!
 //! [`LabelSlab`]: crate::search::LabelSlab
+//! [`LabelStore`]: crate::search::LabelStore
 //!
 //! The solve path used to keep its per-search and per-component tables
 //! in `HashMap<VertexId, _>`s: with goal-oriented search each table only

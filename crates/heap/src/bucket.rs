@@ -27,23 +27,26 @@
 //!   callers with no meaningful quantum) go to an overflow heap that is
 //!   consulted whenever the bucket array drains.
 //!
-//! Deleted and improved labels are removed *lazily*: a bucket entry is
-//! live iff its search is alive and its key equals that (search,
-//! vertex)'s current queued key; stale entries are pruned when the
-//! cursor meets them. This is why [`BucketQueue::peek_key`] takes
-//! `&mut self`, mirroring [`TwoLevelHeap::peek_key`].
+//! Deleted and improved labels are removed *lazily*: whether an entry
+//! is still live is the owner's liveness test, and stale entries are
+//! pruned when the cursor meets them. This is why
+//! [`BucketQueue::peek_key`] takes `&mut self`, mirroring
+//! [`TwoLevelHeap::peek_key`].
 //!
 //! The queue comes in two layers over one bucket algorithm:
 //!
 //! * [`BucketCore`] is the bucket array, the overflow heap, the cursor
 //!   and the count of queued labels — and no per-search state. Whoever
-//!   already stores each label's queued key (the CD solver keeps it in
-//!   its label record) passes the liveness test to
+//!   already stores each label passes the liveness test to
 //!   [`peek_key`](BucketCore::peek_key) / [`pop`](BucketCore::pop) as a
-//!   closure, so a (search, vertex) pair costs no second slab here.
+//!   closure, so a (search, vertex) pair costs no slab here. The CD
+//!   solver accepts an entry while its label is unsettled: the keys it
+//!   files for one label never rise, so a superseded entry pops no
+//!   earlier than its replacement, which settles the label first.
 //! * [`BucketQueue`] is the core plus one epoch-stamped key slab per
-//!   search: the self-contained [`LabelQueue`](crate::LabelQueue) that
-//!   the pop-sequence proptest holds to [`TwoLevelHeap`] and the
+//!   search, live iff an entry's key equals its label's queued key: the
+//!   self-contained [`LabelQueue`](crate::LabelQueue) that the
+//!   pop-sequence proptest holds to [`TwoLevelHeap`] and the
 //!   benchmark's queue row times.
 //!
 //! [`TwoLevelHeap`]: crate::TwoLevelHeap
@@ -157,8 +160,8 @@ enum Loc {
 /// `(key, search, vertex)` order, asking the caller which entries are
 /// still live.
 ///
-/// The caller owns each label's queued key and keeps the core's count
-/// of queued labels exact: a [`push`](Self::push) says whether it
+/// The caller owns each label's liveness and keeps the core's count of
+/// queued labels exact: a [`push`](Self::push) says whether it
 /// queues a new label or supersedes the label's previous entry, a
 /// successful [`pop`](Self::pop) counts one label out, and
 /// [`forget`](Self::forget) counts out the labels of a retired search.
@@ -289,8 +292,12 @@ impl BucketCore {
     /// Files an entry for `vertex` of `search` at `key`. `fresh` says
     /// the label was not queued before and counts it in; otherwise the
     /// entry supersedes the label's previous one, which the caller's
-    /// liveness test must reject from now on. The caller records `key`
-    /// as the label's queued key — the core keeps no copy.
+    /// liveness test must reject by the time the queue reaches it:
+    /// either at once (a key comparison, as [`BucketQueue`] does) or,
+    /// when the keys filed for one label never rise, once the label
+    /// settles — the superseded entry then pops no earlier than this
+    /// one, and a tie files an identical entry that pops dead. The core
+    /// keeps no copy of the key.
     ///
     /// # Panics
     ///
@@ -694,6 +701,29 @@ mod tests {
         assert_eq!(q.pop(live), Some((0, 1, 2.0)));
         assert_eq!(q.pop(live), Some((0, 0, 3.0)));
         assert_eq!(q.pop(live), None, "the stale 5.0 entry is never returned");
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_rounding_tie_files_a_copy_that_pops_dead() {
+        // the CD solver's contract: an entry is live while its label is
+        // unsettled, and an improvement whose key ties the queued one
+        // (f64 rounding) files an identical second entry
+        let mut q = BucketCore::new();
+        q.begin_solve(1.0);
+        q.push(2, 5, 3.5, true);
+        q.push(2, 5, 3.5, false);
+        q.push(2, 6, 4.0, true); // a later label keeps the count above 0
+        assert_eq!(q.len(), 2, "one count per label, however many entries");
+        let settled = std::cell::Cell::new(false); // vertex 5's label
+        let live = |_: u32, v: u32, _: f64| v != 5 || !settled.get();
+        assert_eq!(q.pop(live), Some((2, 5, 3.5)), "the first copy is live");
+        settled.set(true);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_key(live), Some(4.0), "the second copy meets a settled label");
+        assert_eq!(q.pop(live), Some((2, 6, 4.0)));
+        assert_eq!(q.len(), 0, "no underflow");
+        assert_eq!(q.pop(live), None);
         assert!(q.is_empty());
     }
 

@@ -17,14 +17,14 @@
 //!   keys: grid edge costs are bounded and near-uniform, so an indexed
 //!   bucket array replaces `O(log n)` heap sifts on the solver's hot
 //!   path. The core keeps no per-search state: the caller stores each
-//!   label's queued key and answers its liveness test,
+//!   label and answers its liveness test,
 //! * [`BucketQueue`] — the core plus one key slab per search, a
 //!   self-contained queue.
 //!
 //! [`TwoLevelHeap`] and [`BucketQueue`] share the [`LabelQueue`] surface
 //! *and the total pop order* `(key, search, vertex)`, pinned by the
 //! pop-sequence proptest in [`bucket`]. The solver runs on
-//! [`BucketCore`] with the queued keys in its own label records;
+//! [`BucketCore`], answering liveness from its own label records;
 //! [`BucketQueue`] is the same bucket algorithm behind the
 //! [`LabelQueue`] surface, which that proptest holds to
 //! [`TwoLevelHeap`] (the paper's structure) and the benchmark's two
