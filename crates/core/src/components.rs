@@ -8,10 +8,13 @@
 //! restarted searches.
 //!
 //! All per-merge tables — component adjacency, tree-delay and
-//! exit-price tables, downstream weights — live in dense, epoch-stamped
-//! [`VertexTable`] slabs inside a [`CompScratch`] arena pooled by the
-//! [`SolverWorkspace`](crate::SolverWorkspace), so the merge path of a
-//! warm workspace performs no allocation.
+//! exit-price tables, downstream weights, and the membership set that
+//! [`Component::absorb`] deduplicates vertices through — live in dense,
+//! epoch-stamped [`VertexTable`] slabs inside a [`CompScratch`] arena
+//! pooled by the [`SolverWorkspace`](crate::SolverWorkspace), so the
+//! merge path of a warm workspace performs no allocation. A component
+//! itself is three lists (edges, vertices in insertion order, sinks)
+//! and keeps no table sized to the vertex ids it has held.
 
 use crate::table::{VertexSet, VertexTable};
 use cds_graph::{EdgeId, SteinerGraph, VertexId};
@@ -149,6 +152,8 @@ pub struct CompScratch {
     heap: BinaryHeap<Reverse<(OrderedF64, VertexId)>>,
     parent: VertexTable<VertexId>,
     weight_at: VertexTable<f64>,
+    /// Visited set of the downstream walk, and the membership set of
+    /// [`Component::absorb`].
     seen: VertexSet,
     order: Vec<VertexId>,
 }
@@ -160,9 +165,10 @@ pub struct Component {
     /// Edges of the embedded partial tree.
     pub edges: Vec<EdgeId>,
     /// Vertices the component occupies, deduplicated, in insertion
-    /// order (membership is tracked by an epoch-stamped side table).
+    /// order (deduplicated by [`absorb`](Self::absorb) through the
+    /// workspace's scratch set, so a component keeps no membership
+    /// table of its own).
     vertices: Vec<VertexId>,
-    member: VertexSet,
     /// Sinks inside the component: (vertex, delay weight).
     pub sinks: Vec<(VertexId, f64)>,
 }
@@ -171,16 +177,14 @@ impl Component {
     /// A single-vertex component carrying the given sinks (one for a
     /// sink terminal, none for the root).
     pub fn singleton(v: VertexId, sinks: Vec<(VertexId, f64)>) -> Self {
-        let mut c = Component { sinks, ..Component::default() };
-        c.push_vertex(v);
-        c
+        Component { vertices: vec![v], sinks, ..Component::default() }
     }
 
     /// Re-initializes a (possibly recycled) component as a singleton,
     /// keeping whatever capacity its buffers already have.
     pub fn init_singleton(&mut self, v: VertexId, sinks: &[(VertexId, f64)]) {
         self.reset();
-        self.push_vertex(v);
+        self.vertices.push(v);
         self.sinks.extend_from_slice(sinks);
     }
 
@@ -188,7 +192,6 @@ impl Component {
     pub fn reset(&mut self) {
         self.edges.clear();
         self.vertices.clear();
-        self.member.clear();
         self.sinks.clear();
     }
 
@@ -197,38 +200,41 @@ impl Component {
         &self.vertices
     }
 
-    /// Whether `v` belongs to this component.
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.member.contains(v)
-    }
-
-    fn push_vertex(&mut self, v: VertexId) {
-        if self.member.insert(v) {
-            self.vertices.push(v);
-        }
-    }
-
     /// Absorbs `other` and a connecting `path` (edges between them).
     /// `other` is drained but keeps its buffers, so callers can recycle
     /// it through a component pool.
+    ///
+    /// Membership lives in `scratch`'s set only for the call: `self`'s
+    /// vertices are marked, then `other`'s vertices and the path
+    /// endpoints are appended in that order unless already marked.
     pub fn absorb<G: SteinerGraph + ?Sized>(
         &mut self,
         other: &mut Component,
         path: &[EdgeId],
         g: &G,
+        scratch: &mut CompScratch,
     ) {
+        let seen = &mut scratch.seen;
+        seen.clear();
+        for &v in &self.vertices {
+            seen.insert(v);
+        }
         self.edges.append(&mut other.edges);
-        for i in 0..other.vertices.len() {
-            self.push_vertex(other.vertices[i]);
+        for &v in &other.vertices {
+            if seen.insert(v) {
+                self.vertices.push(v);
+            }
         }
         other.vertices.clear();
-        other.member.clear();
         self.sinks.append(&mut other.sinks);
         for &e in path {
             self.edges.push(e);
             let ep = g.endpoints(e);
-            self.push_vertex(ep.u);
-            self.push_vertex(ep.v);
+            for v in [ep.u, ep.v] {
+                if seen.insert(v) {
+                    self.vertices.push(v);
+                }
+            }
         }
     }
 
@@ -381,15 +387,15 @@ mod tests {
         b.add_edge(2, 3, EdgeAttrs::wire(1.0, 4.0));
         let g = b.build();
         let d = g.delays();
+        let mut s = CompScratch::default();
         let mut c0 = Component::singleton(0, vec![(0, 1.0)]);
         let mut c3 = Component::singleton(3, vec![(3, 2.0)]);
         // connect them with the full path
-        c0.absorb(&mut c3, &[0, 1, 2], &g);
+        c0.absorb(&mut c3, &[0, 1, 2], &g, &mut s);
         assert!(c3.edges.is_empty() && c3.sinks.is_empty(), "absorb drains the other side");
         assert!(c3.vertices().is_empty());
-        assert!(c0.contains(2));
+        assert_eq!(c0.vertices(), &[0, 3, 1, 2]);
         assert_eq!(c0.edges.len(), 3);
-        let mut s = CompScratch::default();
         c0.tree_delays_into(&g, &d, 0, &mut s);
         assert_eq!(s.delay.get(3), Some(7.0));
         assert_eq!(s.delay.get(1), Some(1.0));
@@ -403,10 +409,34 @@ mod tests {
         let g = b.build();
         let mut c = Component::singleton(0, vec![(0, 1.0)]);
         // the path shares vertex 1 between both edges; 0 is already in
-        c.absorb(&mut Component::singleton(2, vec![]), &[0, 1], &g);
+        c.absorb(&mut Component::singleton(2, vec![]), &[0, 1], &g, &mut CompScratch::default());
         let mut vs = c.vertices().to_vec();
         vs.sort_unstable();
         assert_eq!(vs, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn absorb_keeps_first_insertion_order_over_shared_vertices() {
+        // path graph 0-1-2-3-4-5; `self` holds 0-1-2, `other` 2-3-4 (2
+        // shared), and the path 1-2 and 4-5 repeats 1, 2 and 4
+        let mut b = GraphBuilder::new(6);
+        let e: Vec<EdgeId> =
+            (0..5).map(|i| b.add_edge(i, i + 1, EdgeAttrs::wire(1.0, 1.0))).collect();
+        let g = b.build();
+        let mut s = CompScratch::default();
+        let mut a = Component::singleton(2, vec![(2, 1.0)]);
+        a.absorb(&mut Component::singleton(0, vec![]), &[e[1], e[0]], &g, &mut s);
+        assert_eq!(a.vertices(), &[2, 0, 1]);
+        let mut o = Component::singleton(4, vec![(4, 1.0)]);
+        o.absorb(&mut Component::singleton(2, vec![]), &[e[3], e[2]], &g, &mut s);
+        assert_eq!(o.vertices(), &[4, 2, 3]);
+        a.absorb(&mut o, &[e[1], e[4]], &g, &mut s);
+        assert_eq!(a.vertices(), &[2, 0, 1, 4, 3, 5], "self, then other, then path; no repeats");
+        assert_eq!(a.edges, vec![e[1], e[0], e[3], e[2], e[1], e[4]]);
+        // a recycled, reset component starts over
+        o.init_singleton(5, &[]);
+        o.absorb(&mut a, &[], &g, &mut s);
+        assert_eq!(o.vertices(), &[5, 2, 0, 1, 4, 3]);
     }
 
     #[test]
@@ -419,8 +449,8 @@ mod tests {
         let g = b.build();
         let d = g.delays();
         let mut comp = Component::singleton(0, vec![(0, 1.0)]);
-        comp.absorb(&mut Component::singleton(3, vec![(3, 3.0)]), &[0, 1, 2], &g);
         let mut s = CompScratch::default();
+        comp.absorb(&mut Component::singleton(3, vec![(3, 3.0)]), &[0, 1, 2], &g, &mut s);
         comp.tree_delays_into(&g, &d, 0, &mut s);
         comp.weighted_exit_delay_prebuilt(&d, &mut s);
         // exit at 0: 1*0 + 3*3 = 9; at 3: 1*3 + 3*0 = 3; at 2: 1*2 + 3*1 = 5
@@ -439,9 +469,9 @@ mod tests {
         b.add_edge(1, 2, EdgeAttrs::wire(1.0, 1.0));
         let g = b.build();
         let mut comp = Component::singleton(0, vec![]);
-        comp.absorb(&mut Component::singleton(1, vec![(1, 2.0)]), &[0], &g);
-        comp.absorb(&mut Component::singleton(2, vec![(2, 5.0)]), &[1], &g);
         let mut s = CompScratch::default();
+        comp.absorb(&mut Component::singleton(1, vec![(1, 2.0)]), &[0], &g, &mut s);
+        comp.absorb(&mut Component::singleton(2, vec![(2, 5.0)]), &[1], &g, &mut s);
         let mut down = VertexTable::new();
         comp.downstream_weights_into(&g, 0, &mut down, &mut s);
         assert_eq!(down.get(2), Some(5.0));

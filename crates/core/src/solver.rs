@@ -808,7 +808,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         if is_root {
             // root connection: the root component absorbs u's component
             let mut comp = comp_t;
-            comp.absorb(&mut comp_u, &path, self.req.graph);
+            comp.absorb(&mut comp_u, &path, self.req.graph, &mut self.ws.comp_scratch);
             self.ws.free_component(comp_u);
             self.active_count -= 1;
             self.total_active_weight -= self.ws.terminals[u].weight;
@@ -840,7 +840,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
                 self.choose_steiner_position(u, v_slot, &path, &path_vertices, seed_raw_u, &comp_t);
             let s = self.ws.dsu.push();
             let mut comp = comp_u;
-            comp.absorb(&mut comp_t, &path, self.req.graph);
+            comp.absorb(&mut comp_t, &path, self.req.graph, &mut self.ws.comp_scratch);
             self.ws.free_component(comp_t);
             if let Some(vsid) = self.ws.terminals[v_slot].sid.take() {
                 self.retire_search(vsid);

@@ -9,7 +9,7 @@
 //!   like);
 //! * the reusing path stays under a ceiling of allocator calls per
 //!   solve / per routed net;
-//! * it beats the twin by a stated factor;
+//! * it beats the twin by a stated factor, in calls and in bytes;
 //! * a fresh solver's bytes per solve — mostly the label pages its
 //!   searches touch — stay under a ceiling, so splitting the 16-byte
 //!   record, adding a per-search slab beside it, or giving every search
@@ -87,17 +87,25 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Traffic) {
 
 // ---- solver session: fresh workspace per call vs one reused session ----
 
-/// Allocator calls per solve a warm session may make (measured: 58.4
-/// release, 59.4 debug).
-const SESSION_CALLS_PER_SOLVE_MAX: f64 = 60.0;
-/// How many times fewer calls and bytes the session makes than fresh
-/// solvers (measured: 23× calls, 15× bytes).
-const SESSION_MIN_RATIO: f64 = 10.0;
-/// Bytes a fresh solver may request per solve (measured: 1.82 MB;
-/// 3.11 MB when every search held a dense window-sized slab of 24-byte
-/// records). A dense slab again, or a window-sized table per search
-/// beside the label pages, takes it past the ceiling.
-const FRESH_BYTES_PER_SOLVE_MAX: f64 = 2.0e6;
+/// Allocator calls per solve a warm session may make (measured: 57.4
+/// release, 58.4 debug).
+const SESSION_CALLS_PER_SOLVE_MAX: f64 = 59.0;
+/// How many times fewer allocator calls the session makes than fresh
+/// solvers (measured: 7.7×). Lower than the bytes floor: a fresh
+/// solver's queue storage is one growing chunk pool, so it makes few
+/// calls (43 k over the 96 solves, against the session's 5.6 k) for
+/// many bytes.
+const SESSION_MIN_CALLS_RATIO: f64 = 6.0;
+/// How many times fewer bytes the session requests than fresh solvers
+/// (measured: 23×).
+const SESSION_MIN_BYTES_RATIO: f64 = 10.0;
+/// Bytes a fresh solver may request per solve (measured: 1.27 MB;
+/// 1.82 MB with a heap per queue bucket and a membership table per
+/// component; 3.11 MB when every search held a dense window-sized slab
+/// of 24-byte records). A dense slab again, a window-sized table per
+/// search beside the label pages, or a growable store per bucket takes
+/// it past the ceiling.
+const FRESH_BYTES_PER_SOLVE_MAX: f64 = 1.4e6;
 
 const NETS: usize = 48;
 const ROUNDS: usize = 2;
@@ -191,12 +199,14 @@ fn a_warm_session_allocates_a_fraction_of_fresh_solvers() {
         fresh_bytes <= FRESH_BYTES_PER_SOLVE_MAX,
         "a fresh solver requested {fresh_bytes:.0} bytes per solve (ceiling {FRESH_BYTES_PER_SOLVE_MAX})"
     );
-    for (what, f, r) in [("calls", fresh.calls, reused.calls), ("bytes", fresh.bytes, reused.bytes)]
-    {
+    for (what, f, r, floor) in [
+        ("calls", fresh.calls, reused.calls, SESSION_MIN_CALLS_RATIO),
+        ("bytes", fresh.bytes, reused.bytes, SESSION_MIN_BYTES_RATIO),
+    ] {
         let ratio = f as f64 / r.max(1) as f64;
         assert!(
-            ratio >= SESSION_MIN_RATIO,
-            "fresh solvers make only {ratio:.1}× the session's allocator {what} (floor {SESSION_MIN_RATIO}×)"
+            ratio >= floor,
+            "fresh solvers make only {ratio:.1}× the session's allocator {what} (floor {floor}×)"
         );
     }
 }
@@ -204,11 +214,11 @@ fn a_warm_session_allocates_a_fraction_of_fresh_solvers() {
 // ---- router output: owned per-net trees vs the forest arena ----
 
 /// Allocator calls per routed net the arena path may make (measured:
-/// 32.2 release, 33.2 debug; the dirty-net scheduler routes 179 of the
+/// 24.6 release, 25.6 debug; the dirty-net scheduler routes 179 of the
 /// 360 net-iterations).
-const ARENA_CALLS_PER_NET_MAX: f64 = 34.0;
+const ARENA_CALLS_PER_NET_MAX: f64 = 26.0;
 /// How many times fewer calls the arena path makes than the owned-tree
-/// fallback (measured: 2.2×).
+/// fallback (measured: 2.5×).
 const ARENA_MIN_RATIO: f64 = 1.7;
 
 const ITERATIONS: usize = 3;
