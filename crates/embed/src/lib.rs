@@ -44,16 +44,44 @@
 //!   length is computed per relaxation as `c(e) + W·d(e)`, the
 //!   reference's floating-point expression, and the arcs keep the
 //!   surface's canonical order, so every tie resolves the same way.
-//! * **Label rows.** Each topology node owns one label row and one
-//!   parent row of window length. A node's sources are pushed straight
-//!   from its children's rows, in ascending vertex order, with the
-//!   combined label summed as `0.0 + Σ children` in child order; a
-//!   vertex where that sum is infinite is not a source.
+//!   Each arc also knows the *slot* of its reverse arc — the same edge,
+//!   back to the arc's tail — within its head's arc list. Lists follow
+//!   ascending edge id, so on a grid the arcs of a lower vertex `w`
+//!   towards higher vertices are met in list order as the build walks
+//!   `v` upwards: a cursor per vertex pairs each arc in O(1), and a scan
+//!   of `w`'s list covers any other order. A vertex may have at most
+//!   254 arcs (grid windows have at most `2 × wire types + 2`); the
+//!   build panics naming the first vertex with more.
+//! * **Label rows from a pool.** Label rows of window length come from
+//!   a small pool. A node takes a row when its pull starts (in its
+//!   seed) and gives it back once its parent has seeded; the root never
+//!   seeds, so its child keeps its row until the root label `π(r)` is
+//!   read. A node's sources are pushed straight from its children's
+//!   rows, in ascending vertex order, with the combined label summed as
+//!   `0.0 + Σ children` in child order; a vertex where that sum is
+//!   infinite is not a source. A seed rewrites its whole row (the sink
+//!   fill, or every vertex of a Steiner node), so a recycled row never
+//!   shows a stale value.
+//! * **Sethi–Ullman order.** The bottom-up pass is a post-order that
+//!   visits the child with the larger *need* first (Sethi & Ullman,
+//!   *The generation of optimal code for arithmetic expressions*, JACM
+//!   1970), stored order breaking ties. A leaf needs 1; a node whose
+//!   children, sorted by descending need, need `n₀ ≥ n₁ ≥ …` needs
+//!   `max_i(nᵢ + i)`. A node of need `h` has at least `2^(h−1)` leaves
+//!   below it, and a node holds at most one row more than it needs (its
+//!   own row, taken while its children's are still held). So a call
+//!   holds at most `⌊log₂ k⌋ + 2` rows for `k` leaves
+//!   ([`EmbedWorkspace::label_rows`]).
+//! * **1-byte parent slots.** Each non-root node keeps one parent row of
+//!   window length, one byte per vertex: the slot, within the vertex's
+//!   own arc list, of the arc back to the vertex it was reached from;
+//!   a source holds `NO_SLOT`. Recovery walks those arcs from the
+//!   parent's vertex back to the pull's seed.
 //! * **Root early exit.** The root reads its children's labels at one
 //!   vertex only, `π(r)`, so a root child's pull stops when `π(r)` is
 //!   popped. That label is final (Dijkstra pops in non-decreasing
 //!   order, so nothing popped later can improve it), and so is every
-//!   parent pointer on the path back to its seed: each vertex on it was
+//!   parent slot on the path back to its seed: each vertex on it was
 //!   popped before `π(r)`. The vertices still queued hold tentative
 //!   labels, and nothing reads them.
 //! * **No settled array.** A popped vertex `u` has `dist(u) ≤ dv` for
@@ -66,7 +94,26 @@
 //! of a textbook multi-source Dijkstra
 //! (`cds_graph::dijkstra::shortest_paths`) in the same order, so the
 //! trees are bit-identical to the plain DP built on it; that DP is kept
-//! as the test reference.
+//! as the test reference. Neither the row pool, the pull order nor the
+//! slots can change a result:
+//!
+//! * a pull reads only its children's finished rows and its own; `seed`
+//!   clears the heap, which keeps no state beyond its entries; and the
+//!   seed push order, the arc order, the arc length expression, the
+//!   strict `<` relaxation and the early exit are those of the plain
+//!   DP. Pulls are otherwise independent, so running them in
+//!   Sethi–Ullman order instead of reverse preorder performs every
+//!   pull's heap operations in the same order;
+//! * which pool row a node holds is never observed: every row is fully
+//!   rewritten by its seed before anything reads it;
+//! * a parent slot names exactly the `(from, edge)` pair a wider record
+//!   would store — the reverse arc of the relaxed arc `from → w` over
+//!   `e` is `w → from` over `e`, and parallel edges are told apart by
+//!   edge id;
+//! * recovery reads only slots its own pull wrote: it starts at a vertex
+//!   the pull reached and follows slots to vertices the pull popped.
+//!
+//! Recovery runs in preorder, which numbers the output tree's nodes.
 //!
 //! # Examples
 //!
@@ -146,7 +193,8 @@ impl<G: ?Sized> std::fmt::Debug for EmbedEnv<'_, G> {
 /// # Panics
 ///
 /// Panics if the topology is not bifurcation compatible, if a sink index
-/// exceeds `weights`/`sink_vertices`, or if some terminal is unreachable.
+/// exceeds `weights`/`sink_vertices`, if some terminal is unreachable, or
+/// if a vertex of the graph has more than 254 arcs.
 pub fn embed_topology<G: SteinerGraph + ?Sized>(
     env: &EmbedEnv<'_, G>,
     topo: &Topology,
@@ -167,46 +215,104 @@ struct WindowArc {
     delay: f64,
 }
 
-/// How a vertex was reached in a pull: over `edge` from `from`, or —
-/// `from == SEED` — as one of the pull's sources.
-#[derive(Debug, Clone, Copy)]
-struct Pred {
-    from: VertexId,
-    edge: EdgeId,
+/// The parent slot of a pull's source: no arc leads back from it. Also
+/// the bound on a window vertex's arc count.
+const NO_SLOT: u8 = u8::MAX;
+
+/// `pull`'s stop vertex when it runs to exhaustion: no vertex has it.
+const NO_STOP: VertexId = VertexId::MAX;
+
+/// Label rows of window length, taken by a node for its pull and given
+/// back once its parent has seeded (see the crate docs, "The kernel").
+#[derive(Debug, Default)]
+struct RowPool {
+    /// Row `r` is `data[r·n..(r + 1)·n]`.
+    data: Vec<f64>,
+    /// Rows handed out before and given back since.
+    free: Vec<u32>,
+    /// Rows handed out since the last `reset`: the most held at once.
+    made: usize,
 }
 
-const SEED: VertexId = VertexId::MAX;
+impl RowPool {
+    fn reset(&mut self) {
+        self.free.clear();
+        self.made = 0;
+    }
 
-impl Pred {
-    const SOURCE: Pred = Pred { from: SEED, edge: 0 };
+    /// A row for a window of `n` vertices. Its contents are stale; the
+    /// caller rewrites all of it.
+    fn take(&mut self, n: usize) -> u32 {
+        if let Some(r) = self.free.pop() {
+            return r;
+        }
+        self.made += 1;
+        if self.data.len() < self.made * n {
+            self.data.resize(self.made * n, f64::INFINITY);
+        }
+        (self.made - 1) as u32
+    }
+
+    fn give(&mut self, r: u32) {
+        self.free.push(r);
+    }
 }
 
 /// Reusable scratch of the embedding DP (see the crate docs, "The
-/// kernel"): the window adjacency, one label row and one parent row per
-/// topology node, and the heap. Buffers grow to the largest
-/// `window × topology` seen and stay warm, so a warm workspace embeds
-/// without allocating anything but the returned tree. Results do not
-/// depend on the workspace's history.
+/// kernel"): the window adjacency with its reverse-arc slots, the label
+/// row pool, one 1-byte parent row per topology node, the heap, and the
+/// per-topology orders. Buffers grow to the largest window and topology
+/// seen and stay warm, so a warm workspace embeds without allocating
+/// anything but the returned tree. Results do not depend on the
+/// workspace's history.
 #[derive(Debug, Default)]
 pub struct EmbedWorkspace {
     /// CSR offsets: the arcs of vertex `v` are `arcs[first[v]..first[v + 1]]`.
     first: Vec<usize>,
     arcs: Vec<WindowArc>,
+    /// `rev[j]`: the slot of `arcs[j]`'s reverse arc within the arc list
+    /// of `arcs[j].to`.
+    rev: Vec<u8>,
+    /// `build_adjacency` scratch: per built vertex, the slot of its next
+    /// arc to a higher vertex still to be paired, if lists follow the
+    /// grid order.
+    cursor: Vec<u8>,
     /// `neighbors_into` output buffer.
     nbrs: Vec<(VertexId, EdgeId)>,
-    /// Node-major label rows: node `v`'s row is `labels[v·n..(v + 1)·n]`.
-    labels: Vec<f64>,
-    /// Node-major parent rows, laid out like `labels`.
-    preds: Vec<Pred>,
+    labels: RowPool,
+    /// The pool row node `v` holds, from its seed until its parent's.
+    row_of: Vec<u32>,
+    /// Node-major parent slots: node `v`'s row is `slots[v·n..(v + 1)·n]`.
+    slots: Vec<u8>,
     heap: IndexedBinaryHeap,
     /// The id capacity `heap` was created with.
     heap_ids: usize,
+    /// The topology in preorder: recovery's order.
+    order: Vec<NodeId>,
+    /// The topology in preorder with children pushed in Sethi–Ullman
+    /// order; reversed, it is the bottom-up pass.
+    su_order: Vec<NodeId>,
+    /// Scratch stack of both traversals.
+    stack: Vec<NodeId>,
+    sub_w: Vec<f64>,
+    /// Sethi–Ullman need of each node.
+    need: Vec<u32>,
+    /// Recovery: each placed node's output id and vertex.
+    placed: Vec<(NodeId, VertexId)>,
+    /// Recovery: the path being walked.
+    path: Vec<EdgeId>,
 }
 
 impl EmbedWorkspace {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The most label rows the last [`embed`](Self::embed) held at once:
+    /// at most `⌊log₂ k⌋ + 2` for a topology with `k` leaves.
+    pub fn label_rows(&self) -> usize {
+        self.labels.made
     }
 
     /// [`embed_topology`] on this workspace's buffers. The tree is the
@@ -228,103 +334,202 @@ impl EmbedWorkspace {
             "embed requires a bifurcation-compatible topology"
         );
         let n = env.graph.num_vertices();
+        let nodes = topo.num_nodes();
         self.build_adjacency(env);
-        let rows = topo.num_nodes() * n;
-        if self.labels.len() < rows {
-            self.labels.resize(rows, f64::INFINITY);
-            self.preds.resize(rows, Pred::SOURCE);
+        if self.slots.len() < nodes * n {
+            self.slots.resize(nodes * n, NO_SLOT);
+        }
+        if self.row_of.len() < nodes {
+            self.row_of.resize(nodes, 0);
         }
         if self.heap_ids < n {
             self.heap = IndexedBinaryHeap::new(n);
             self.heap_ids = n;
         }
-        let order = topo.dfs_order();
-        let sub_w = topo.subtree_weights(weights);
+        self.labels.reset();
+        self.schedule(topo, weights);
         let root = topo.root();
 
-        // Bottom-up: seed and pull every non-root node.
-        for &v in order.iter().rev() {
+        // Bottom-up: seed and pull every non-root node, children first.
+        for i in (0..self.su_order.len()).rev() {
+            let v = self.su_order[i];
             let Some(parent) = topo.parent(v) else { continue };
             self.seed(topo, v, n, sink_vertices);
-            let stop_at = if parent == root { root_vertex } else { SEED };
-            self.pull(v as usize * n, n, sub_w[v as usize], stop_at);
+            let stop_at = if parent == root { root_vertex } else { NO_STOP };
+            self.pull(v, n, self.sub_w[v as usize], stop_at);
         }
-        let root_label = topo
-            .children(root)
-            .iter()
-            .fold(0.0, |acc, &c| acc + self.labels[c as usize * n + root_vertex as usize]);
+        let root_label = topo.children(root).iter().fold(0.0, |acc, &c| {
+            acc + self.labels.data[self.row_of[c as usize] as usize * n + root_vertex as usize]
+        });
         assert!(root_label.is_finite(), "the sinks are unreachable from root vertex {root_vertex}");
 
         // Top-down recovery of positions and paths.
         let mut out = EmbeddedTree::new(root_vertex);
-        let mut placed = vec![(out.root(), root_vertex); topo.num_nodes()];
-        for &v in &order {
+        self.placed.clear();
+        self.placed.resize(nodes, (out.root(), root_vertex));
+        for &v in &self.order {
             let Some(p) = topo.parent(v) else { continue };
             // `order` is root-first, so the parent is placed.
-            let (out_parent, parent_vertex) = placed[p as usize];
+            let (out_parent, parent_vertex) = self.placed[p as usize];
             // Walk from the parent's chosen vertex back towards the
-            // pull's seed. Parent pointers lead away from the seed, so
-            // following them from `parent_vertex` already emits edges in
-            // parent_vertex → seed order — exactly the arc direction we
-            // store. Only vertices this pull reached are visited, and
-            // each of those had its pointer written by this pull.
-            let row = &self.preds[v as usize * n..(v as usize + 1) * n];
-            let mut edges = Vec::new();
+            // pull's seed. Each slot leads back towards the seed, so the
+            // walk already emits edges in parent_vertex → seed order —
+            // exactly the arc direction we store. Only vertices this
+            // pull reached are visited, and each of those had its slot
+            // written by this pull.
+            let row = &self.slots[v as usize * n..(v as usize + 1) * n];
+            self.path.clear();
             let mut cur = parent_vertex;
-            while row[cur as usize].from != SEED {
-                edges.push(row[cur as usize].edge);
-                cur = row[cur as usize].from;
+            while row[cur as usize] != NO_SLOT {
+                let arc = &self.arcs[self.first[cur as usize] + row[cur as usize] as usize];
+                self.path.push(arc.edge);
+                cur = arc.to;
             }
-            let out_id = out.add_node(topo.node_kind(v), cur, out_parent, edges);
-            placed[v as usize] = (out_id, cur);
+            let out_id = out.add_node(topo.node_kind(v), cur, out_parent, self.path.to_vec());
+            self.placed[v as usize] = (out_id, cur);
         }
         out
     }
 
     /// Rebuilds the window adjacency: one `neighbors_into` per vertex,
-    /// in id order, each arc stored with its price and delay.
+    /// in id order, each arc stored with its price and delay, and each
+    /// arc back to a lower vertex paired with its reverse arc.
     fn build_adjacency<G: SteinerGraph + ?Sized>(&mut self, env: &EmbedEnv<'_, G>) {
         self.first.clear();
         self.arcs.clear();
+        self.rev.clear();
+        self.cursor.clear();
         for v in 0..env.graph.num_vertices() as VertexId {
             self.first.push(self.arcs.len());
             env.graph.neighbors_into(v, &mut self.nbrs);
-            self.arcs.extend(self.nbrs.iter().map(|&(to, edge)| WindowArc {
-                to,
-                edge,
-                cost: env.cost[edge as usize],
-                delay: env.delay[edge as usize],
-            }));
+            let deg = self.nbrs.len();
+            assert!(
+                deg < NO_SLOT as usize,
+                "window vertex {v} has {deg} arcs; the embedding DP's 1-byte parent slots allow at most {}",
+                NO_SLOT - 1
+            );
+            // An arc to a higher vertex is paired when that vertex's list
+            // is built, starting from `up`; a self-loop never relaxes, so
+            // it needs no pair.
+            let mut up = deg;
+            for s in 0..deg {
+                let (to, edge) = self.nbrs[s];
+                self.arcs.push(WindowArc {
+                    to,
+                    edge,
+                    cost: env.cost[edge as usize],
+                    delay: env.delay[edge as usize],
+                });
+                let back = if to < v {
+                    let t = self.reverse_slot(to, v, edge);
+                    self.rev[self.first[to as usize] + t] = s as u8;
+                    t as u8
+                } else {
+                    if to > v && up == deg {
+                        up = s;
+                    }
+                    NO_SLOT
+                };
+                self.rev.push(back);
+            }
+            self.cursor.push(up as u8);
         }
         self.first.push(self.arcs.len());
     }
 
-    /// Writes node `v`'s row before its pull and queues its sources in
+    /// The slot of the arc `w → v` over `e` in the list of `w < v`. On a
+    /// grid it is `w`'s cursor: `w`'s arcs to higher vertices follow
+    /// ascending edge id, which is the order `v` ascends in. Any other
+    /// order falls back to a scan.
+    fn reverse_slot(&mut self, w: VertexId, v: VertexId, e: EdgeId) -> usize {
+        let list = &self.arcs[self.first[w as usize]..self.first[w as usize + 1]];
+        let t = self.cursor[w as usize] as usize;
+        if list.get(t).is_some_and(|a| a.to == v && a.edge == e) {
+            self.cursor[w as usize] += 1;
+            return t;
+        }
+        let t = list.iter().position(|a| a.to == v && a.edge == e);
+        // INVARIANT: a `SteinerGraph` is undirected — every edge is listed at both endpoints — so `w`'s list holds the arc back to `v`.
+        t.unwrap_or_else(|| panic!("edge {e} from {w} to {v} is listed at {v} only"))
+    }
+
+    /// The per-topology pass: preorder, subtree weights, Sethi–Ullman
+    /// needs, and the preorder whose reverse is the bottom-up pass.
+    fn schedule(&mut self, topo: &Topology, weights: &[f64]) {
+        topo.dfs_order_into(&mut self.order, &mut self.stack);
+        topo.subtree_weights_into(weights, &self.order, &mut self.sub_w);
+        self.need.clear();
+        self.need.resize(topo.num_nodes(), 1);
+        for &v in self.order.iter().rev() {
+            self.need[v as usize] = match *topo.children(v) {
+                [] => 1,
+                [c] => self.need[c as usize],
+                [a, b] => {
+                    let (na, nb) = (self.need[a as usize], self.need[b as usize]);
+                    if na == nb {
+                        na + 1
+                    } else {
+                        na.max(nb)
+                    }
+                }
+                // INVARIANT: `embed` asserts bifurcation compatibility first, so no node has more than two children.
+                _ => unreachable!("a bifurcation-compatible node has at most two children"),
+            };
+        }
+        // Pushing the child that goes first first makes it pop last, so
+        // the reversed preorder visits it (and its subtree) first.
+        self.su_order.clear();
+        self.stack.clear();
+        self.stack.push(topo.root());
+        while let Some(v) = self.stack.pop() {
+            self.su_order.push(v);
+            match *topo.children(v) {
+                [a, b] if self.need[b as usize] > self.need[a as usize] => {
+                    self.stack.extend([b, a]);
+                }
+                ref kids => self.stack.extend_from_slice(kids),
+            }
+        }
+    }
+
+    /// Takes node `v`'s row, writes it, and queues `v`'s sources in
     /// ascending vertex order: a sink's pin at 0, or every vertex where
-    /// the sum of the children's labels is finite.
+    /// the sum of the children's labels is finite. Then gives the
+    /// children's rows back.
     fn seed(&mut self, topo: &Topology, v: NodeId, n: usize, sink_vertices: &[VertexId]) {
         self.heap.clear();
-        let base = v as usize * n;
+        let row = self.labels.take(n);
+        self.row_of[v as usize] = row;
+        let base = row as usize * n;
+        let slots = &mut self.slots[v as usize * n..(v as usize + 1) * n];
+        let data = &mut self.labels.data;
         match topo.node_kind(v) {
             NodeKind::Sink(s) => {
                 let pin = sink_vertices[s];
-                self.labels[base..base + n].fill(f64::INFINITY);
-                self.labels[base + pin as usize] = 0.0;
-                self.preds[base + pin as usize] = Pred::SOURCE;
+                data[base..base + n].fill(f64::INFINITY);
+                data[base + pin as usize] = 0.0;
+                slots[pin as usize] = NO_SLOT;
                 self.heap.push(pin, 0.0);
             }
             NodeKind::Root | NodeKind::Steiner => {
                 let children = topo.children(v);
+                let mut kids = [0usize; 2];
+                for (k, &c) in kids.iter_mut().zip(children) {
+                    *k = self.row_of[c as usize] as usize * n;
+                }
+                let kids = &kids[..children.len()];
                 for x in 0..n {
-                    let label =
-                        children.iter().fold(0.0, |acc, &c| acc + self.labels[c as usize * n + x]);
+                    let label = kids.iter().fold(0.0, |acc, &k| acc + data[k + x]);
                     if label.is_finite() {
-                        self.labels[base + x] = label;
-                        self.preds[base + x] = Pred::SOURCE;
+                        data[base + x] = label;
+                        slots[x] = NO_SLOT;
                         self.heap.push(x as VertexId, label);
                     } else {
-                        self.labels[base + x] = f64::INFINITY;
+                        data[base + x] = f64::INFINITY;
                     }
+                }
+                for &c in children {
+                    self.labels.give(self.row_of[c as usize]);
                 }
             }
         }
@@ -332,23 +537,29 @@ impl EmbedWorkspace {
     }
 
     /// The pull: a multi-source Dijkstra from the queued sources over
-    /// the window adjacency with arc length `c + w_arc·d`, labelling the
-    /// row at `base`. Stops once `stop_at` is popped (`SEED` never is).
-    fn pull(&mut self, base: usize, n: usize, w_arc: f64, stop_at: VertexId) {
-        let dist = &mut self.labels[base..base + n];
-        let pred = &mut self.preds[base..base + n];
-        while let Some((v, dv)) = self.heap.pop() {
-            if v == stop_at {
+    /// the window adjacency with arc length `c + w_arc·d`, labelling
+    /// node `v`'s pool row and writing its slot row. Stops once
+    /// `stop_at` is popped (`NO_STOP` never is).
+    fn pull(&mut self, v: NodeId, n: usize, w_arc: f64, stop_at: VertexId) {
+        let base = self.row_of[v as usize] as usize * n;
+        let dist = &mut self.labels.data[base..base + n];
+        let slot = &mut self.slots[v as usize * n..(v as usize + 1) * n];
+        while let Some((u, du)) = self.heap.pop() {
+            if u == stop_at {
                 return;
             }
-            for arc in &self.arcs[self.first[v as usize]..self.first[v as usize + 1]] {
+            let (lo, hi) = (self.first[u as usize], self.first[u as usize + 1]);
+            // Read a reverse slot only for an arc that improves `w`:
+            // loading one per visited arc cost ~4 % of the kernel.
+            let rev = &self.rev[lo..hi];
+            for (s, arc) in self.arcs[lo..hi].iter().enumerate() {
                 let len = arc.cost + w_arc * arc.delay;
                 assert!(len >= 0.0, "invalid edge length");
-                let cand = dv + len;
+                let cand = du + len;
                 let w = arc.to as usize;
                 if cand < dist[w] {
                     dist[w] = cand;
-                    pred[w] = Pred { from: v, edge: arc.edge };
+                    slot[w] = rev[s];
                     self.heap.push(arc.to, cand);
                 }
             }
@@ -635,6 +846,124 @@ mod tests {
         embed_topology(&env, &topo, 0, &[2], &[1.0]);
     }
 
+    #[test]
+    #[should_panic(expected = "window vertex 1 has 256 arcs")]
+    fn a_vertex_with_too_many_arcs_for_a_slot_panics_naming_it() {
+        // 255 parallel edges 1–2 plus the edge 0–1: vertex 1 is the
+        // first with more arcs than a 1-byte slot can name.
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, EdgeAttrs::wire(1.0, 1.0));
+        for _ in 0..255 {
+            b.add_edge(1, 2, EdgeAttrs::wire(1.0, 1.0));
+        }
+        let g = b.build();
+        let (c, d) = (g.base_costs(), g.delays());
+        let env = EmbedEnv { graph: &g, cost: &c, delay: &d, bif: BifurcationConfig::ZERO };
+        let mut topo = Topology::new(Point::new(0, 0));
+        topo.add_sink(0, Point::new(0, 0), topo.root());
+        embed_topology(&env, &topo, 0, &[2], &[1.0]);
+    }
+
+    /// A binary shape as child lists (node 0 is the top), grown by
+    /// splitting leaf `split % leaves` into two, once per entry.
+    fn grown_shape(splits: &[usize]) -> Vec<Vec<usize>> {
+        let mut kids = vec![Vec::new()];
+        let mut leaves = vec![0];
+        for &split in splits {
+            let leaf = leaves.swap_remove(split % leaves.len());
+            for _ in 0..2 {
+                let child = kids.len();
+                kids[leaf].push(child);
+                leaves.push(child);
+                kids.push(Vec::new());
+            }
+        }
+        kids
+    }
+
+    /// The topology of a binary shape: node 0 hangs under the root,
+    /// inner nodes are Steiner nodes and leaves are sinks, numbered in
+    /// preorder. All positions are the origin (the DP ignores them).
+    fn topology_of(kids: &[Vec<usize>]) -> Topology {
+        fn add(t: &mut Topology, kids: &[Vec<usize>], v: usize, parent: NodeId, sinks: &mut usize) {
+            if kids[v].is_empty() {
+                t.add_sink(*sinks, Point::new(0, 0), parent);
+                *sinks += 1;
+            } else {
+                let id = t.add_steiner(Point::new(0, 0), parent);
+                for &c in &kids[v] {
+                    add(t, kids, c, id, sinks);
+                }
+            }
+        }
+        let mut t = Topology::new(Point::new(0, 0));
+        let root = t.root();
+        add(&mut t, kids, 0, root, &mut 0);
+        t
+    }
+
+    /// A caterpillar of `k` sinks: each spine node has a sink and the
+    /// rest of the spine as children, the sink first iff `sink_first`.
+    fn caterpillar(k: usize, sink_first: bool) -> Vec<Vec<usize>> {
+        let mut kids = vec![Vec::new(); 2 * k - 1];
+        for i in 0..k - 1 {
+            // spine node 2i, its sink 2i + 1, the next spine node 2i + 2
+            kids[2 * i] =
+                if sink_first { vec![2 * i + 1, 2 * i + 2] } else { vec![2 * i + 2, 2 * i + 1] };
+        }
+        kids
+    }
+
+    /// The balanced shape with `2^depth` leaves.
+    fn balanced(depth: u32) -> Vec<Vec<usize>> {
+        let inner = (1usize << depth) - 1;
+        (0..2 * inner + 1)
+            .map(|v| if v < inner { vec![2 * v + 1, 2 * v + 2] } else { vec![] })
+            .collect()
+    }
+
+    /// Embeds `topo` (all sinks on pins of a small grid) on `ws`, checks
+    /// the tree against the reference and returns the rows it held.
+    fn rows_held(ws: &mut EmbedWorkspace, topo: &Topology) -> usize {
+        let grid = GridSpec::uniform(5, 4, 2).build();
+        let g = grid.graph();
+        let (c, d) = (g.base_costs(), g.delays());
+        let env =
+            EmbedEnv { graph: g, cost: &c, delay: &d, bif: BifurcationConfig::new(2.0, 0.25) };
+        let k = topo.sink_nodes().len();
+        let sinks: Vec<VertexId> = (0..k)
+            .map(|i| grid.vertex_at(Point::new((i % 5) as i32, (i / 5 % 4) as i32)))
+            .collect();
+        let weights: Vec<f64> = (0..k).map(|i| 0.1 + (i % 7) as f64 * 0.3).collect();
+        let root = grid.vertex_at(Point::new(2, 1));
+        let want = reference_embed(&env, topo, root, &sinks, &weights);
+        assert_same_tree(&ws.embed(&env, topo, root, &sinks, &weights), &want, "rows_held");
+        ws.label_rows()
+    }
+
+    /// `⌊log₂ k⌋ + 2`, the most label rows an embedding of `k` leaves holds.
+    fn row_bound(k: usize) -> usize {
+        k.ilog2() as usize + 2
+    }
+
+    #[test]
+    fn label_rows_follow_the_topology_height() {
+        let mut ws = EmbedWorkspace::new();
+        // A caterpillar needs 2 everywhere: the spine goes first, then
+        // the sink, then the node's own row — three rows in either child
+        // order (reverse preorder held all 40 in one of them).
+        for sink_first in [true, false] {
+            let topo = topology_of(&caterpillar(40, sink_first));
+            assert_eq!(rows_held(&mut ws, &topo), 3, "caterpillar, sink first: {sink_first}");
+        }
+        // The balanced 64-sink tree meets the bound exactly.
+        let topo = topology_of(&balanced(6));
+        assert_eq!(rows_held(&mut ws, &topo), row_bound(64));
+        // One sink under the root holds its own row only.
+        let topo = topology_of(&balanced(0));
+        assert_eq!(rows_held(&mut ws, &topo), 1);
+    }
+
     /// One random instance: a window of a uniform grid, terminals in
     /// window coordinates, and a binarized plane topology of them.
     struct Instance {
@@ -738,6 +1067,54 @@ mod tests {
                 let reused = warm.embed(&env, &inst.topo, root, &sinks, &inst.weights);
                 assert_same_tree(&reused, &want, &format!("warm, window {i}"));
                 want.validate(&view, inst.sinks.len()).unwrap();
+            }
+        }
+
+        /// Random binary shapes hold at most `⌊log₂ k⌋ + 2` label rows.
+        #[test]
+        fn label_rows_stay_within_the_bound(splits in collection::vec(0usize..64, 0..48)) {
+            let kids = grown_shape(&splits);
+            let k = kids.iter().filter(|c| c.is_empty()).count();
+            let rows = rows_held(&mut EmbedWorkspace::new(), &topology_of(&kids));
+            prop_assert!(rows <= row_bound(k), "{rows} rows for {k} sinks");
+        }
+
+        /// One workspace embeds a random sequence of (window, topology,
+        /// weights) — windows and topologies that grow and shrink, so
+        /// pooled rows and parent slots are recycled at every size.
+        /// Every tree must equal the reference DP's, so nothing stale
+        /// leaks from one call into the next.
+        #[test]
+        fn one_workspace_matches_the_reference_over_a_sequence(
+            dims in (6u32..12, 6u32..12, 2u8..5),
+            pins in collection::vec((0u32..64, 0u32..64), 13),
+            weights in collection::vec(0.0f64..3.0, 12),
+            steps in collection::vec(
+                ((0u32..4, 0u32..4, 0u32..4, 0u32..4), 2usize..14, 0u8..4, 0u8..3, 0usize..12, 0.0f64..4.0),
+                2..7,
+            ),
+        ) {
+            let grid = GridSpec::uniform(dims.0, dims.1, dims.2).build();
+            let g = grid.graph();
+            let (cost, delay) = (g.base_costs(), g.delays());
+            let mut ws = EmbedWorkspace::new();
+            for (i, &(cut, np, dup, kind, turn, d_bif)) in steps.iter().enumerate() {
+                let bif = BifurcationConfig::new(d_bif, 0.25);
+                let mut w = weights.clone();
+                w.rotate_left(turn);
+                let inst = instance(&grid, cut, &pins[..np], &w, dup, kind, bif);
+                let (x0, y0, x1, y1) = inst.window;
+                let view = WindowView::new(&grid, x0, y0, x1, y1);
+                let env = EmbedEnv { graph: &view, cost: &cost, delay: &delay, bif };
+                let root = view.vertex_at(inst.root);
+                let sinks: Vec<VertexId> = inst.sinks.iter().map(|&p| view.vertex_at(p)).collect();
+                let want = reference_embed(&env, &inst.topo, root, &sinks, &inst.weights);
+                let got = ws.embed(&env, &inst.topo, root, &sinks, &inst.weights);
+                assert_same_tree(&got, &want, &format!("step {i}"));
+                let leaves = (1..inst.topo.num_nodes() as NodeId)
+                    .filter(|&v| inst.topo.children(v).is_empty())
+                    .count();
+                prop_assert!(ws.label_rows() <= row_bound(leaves.max(1)));
             }
         }
     }

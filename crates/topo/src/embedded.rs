@@ -31,7 +31,7 @@ pub struct EmbeddedArc {
 /// * every non-root node's path walks from its parent's vertex to its own,
 /// * sinks are leaves and internal nodes have at most two children
 ///   (bifurcation compatibility — the solvers all produce such trees).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddedTree {
     kinds: Vec<NodeKind>,
     vertices: Vec<VertexId>,

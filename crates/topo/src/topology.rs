@@ -183,14 +183,23 @@ impl Topology {
     /// Nodes in depth-first preorder starting at the root.
     pub fn dfs_order(&self) -> Vec<NodeId> {
         let mut order = Vec::with_capacity(self.num_nodes());
-        let mut stack = vec![self.root()];
+        self.dfs_order_into(&mut order, &mut Vec::new());
+        order
+    }
+
+    /// [`dfs_order`](Self::dfs_order) into caller-owned buffers: `order`
+    /// is cleared and filled, `stack` is scratch. Warm buffers make it
+    /// allocation-free.
+    pub fn dfs_order_into(&self, order: &mut Vec<NodeId>, stack: &mut Vec<NodeId>) {
+        order.clear();
+        stack.clear();
+        stack.push(self.root());
         while let Some(v) = stack.pop() {
             order.push(v);
             for &c in self.children(v).iter().rev() {
                 stack.push(c);
             }
         }
-        order
     }
 
     /// L1 path length from the root to every node.
@@ -208,18 +217,25 @@ impl Topology {
     /// Total sink delay weight inside each node's subtree. `weights` is
     /// indexed by sink index.
     pub fn subtree_weights(&self, weights: &[f64]) -> Vec<f64> {
-        let order = self.dfs_order();
-        let mut w = vec![0.0f64; self.num_nodes()];
+        let mut w = Vec::with_capacity(self.num_nodes());
+        self.subtree_weights_into(weights, &self.dfs_order(), &mut w);
+        w
+    }
+
+    /// [`subtree_weights`](Self::subtree_weights) into `out` (cleared
+    /// and filled), given this topology's [`dfs_order`](Self::dfs_order).
+    pub fn subtree_weights_into(&self, weights: &[f64], order: &[NodeId], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.num_nodes(), 0.0);
         for &v in order.iter().rev() {
             if let NodeKind::Sink(s) = self.node_kind(v) {
-                w[v as usize] += weights[s];
+                out[v as usize] += weights[s];
             }
             for &c in self.children(v) {
-                let wc = w[c as usize];
-                w[v as usize] += wc;
+                let wc = out[c as usize];
+                out[v as usize] += wc;
             }
         }
-        w
     }
 
     /// Plane delay from the root to *every node* under the linear model:

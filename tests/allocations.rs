@@ -1,9 +1,10 @@
-//! Allocator traffic of the two reuse layers, gated.
+//! Allocator traffic of the three reuse layers, gated.
 //!
-//! The solver session ([`Solver`] over a reusable `SolverWorkspace`)
-//! and the [`RoutedForest`] arena exist to keep the allocator off the
-//! solve path. A counting global allocator measures each against its
-//! non-reusing twin on one identical workload, and the tests assert:
+//! The solver session ([`Solver`] over a reusable `SolverWorkspace`),
+//! the [`RoutedForest`] arena and the embedding DP's [`EmbedWorkspace`]
+//! exist to keep the allocator off the solve path. A counting global
+//! allocator measures the first two against their non-reusing twins on
+//! one identical workload, and the tests assert:
 //!
 //! * the twins compute the same bits (so the counts compare like with
 //!   like);
@@ -27,11 +28,14 @@
 
 mod common;
 
+use cds_baselines::{shallow_light, PlaneCostModel, SlParams};
 use cds_core::{Request, Solver};
-use cds_graph::{GridGraph, GridSpec};
+use cds_embed::{embed_topology, EmbedEnv, EmbedWorkspace};
+use cds_geom::Point;
+use cds_graph::{GridGraph, GridSpec, VertexId};
 use cds_instgen::{Chip, ChipSpec};
 use cds_router::{Router, RouterConfig};
-use cds_topo::BifurcationConfig;
+use cds_topo::{BifurcationConfig, EmbeddedTree, NodeId, Topology};
 use common::OwnedPathCd;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Held while a test counts, so the two tests never overlap.
+/// Held while a test counts, so no two tests overlap.
 static MEASURE: Mutex<()> = Mutex::new(());
 
 /// Allocator calls and bytes requested while `f` runs.
@@ -256,5 +260,101 @@ fn the_forest_arena_allocates_less_per_net_than_owned_trees() {
     assert!(
         ratio >= ARENA_MIN_RATIO,
         "owned trees make only {ratio:.1}× the arena path's allocator calls (floor {ARENA_MIN_RATIO}×)"
+    );
+}
+
+// ---- embedding DP: a warm workspace vs the trees it returns ----
+
+/// Bytes a fresh `EmbedWorkspace` may request for one embedding of the
+/// 40-sink SL topology of [`embed_nets`] (120 nodes on a 3 136-vertex
+/// grid; measured: 1.62 MB, of which 0.38 MB parent slots; 7.05 MB with
+/// a label and an 8-byte parent record per node and vertex). Parent rows
+/// of 8 bytes take it to 4.25 MB, one label row per topology node to
+/// 7.84 MB (the growing pool's resizes count too).
+const FRESH_EMBED_BYTES_MAX: u64 = 1_800_000;
+
+/// SL topologies over a 28×28×4 grid: 48 nets of 2–16 sinks, then one
+/// of 40 sinks. Each entry is (topology, root vertex, sink vertices,
+/// weights).
+fn embed_nets(grid: &GridGraph) -> Vec<(Topology, VertexId, Vec<VertexId>, Vec<f64>)> {
+    let (nx, ny) = (grid.spec().nx as i32, grid.spec().ny as i32);
+    let model = PlaneCostModel {
+        cost_per_unit: grid.min_cost_per_gcell(),
+        delay_per_unit: grid.min_delay_per_gcell(),
+        bif: BifurcationConfig::new(4.0, 0.25),
+    };
+    let sizes = (0..NETS as i32).map(|i| (i, 2 + i * 7 % 15)).chain([(NETS as i32, 40)]);
+    sizes
+        .map(|(i, k)| {
+            let root = Point::new(i * 5 % nx, i * 3 % ny);
+            let sinks: Vec<Point> = (0..k)
+                .map(|j| Point::new((5 + i * 13 + j * 11) % nx, (3 + i * 7 + j * 17) % ny))
+                .collect();
+            let weights: Vec<f64> = (0..k).map(|j| 0.05 + 0.35 * ((i + j) % 5) as f64).collect();
+            let topo = shallow_light(root, &sinks, &weights, None, &model, &SlParams::default());
+            let pins = sinks.iter().map(|&p| grid.vertex_at(p)).collect();
+            (topo, grid.vertex_at(root), pins, weights)
+        })
+        .collect()
+}
+
+/// A copy of `tree` built through the public API, node by node in id
+/// order: the allocator calls a tree of this shape costs on its own.
+fn rebuild(tree: &EmbeddedTree) -> EmbeddedTree {
+    let mut out = EmbeddedTree::new(tree.vertex(tree.root()));
+    for v in 1..tree.num_nodes() as NodeId {
+        let parent = tree.parent(v).expect("non-root");
+        out.add_node(tree.node_kind(v), tree.vertex(v), parent, tree.path(v).edges.to_vec());
+    }
+    out
+}
+
+#[test]
+fn a_warm_embed_workspace_allocates_only_the_returned_tree() {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let grid = GridSpec::uniform(28, 28, 4).build();
+    let (cost, delay) = (grid.graph().base_costs(), grid.graph().delays());
+    let env = EmbedEnv {
+        graph: &grid,
+        cost: &cost,
+        delay: &delay,
+        bif: BifurcationConfig::new(4.0, 0.25),
+    };
+    let nets = embed_nets(&grid);
+    let mut ws = EmbedWorkspace::new();
+    let embed_all = |ws: &mut EmbedWorkspace, trees: &mut Vec<EmbeddedTree>| {
+        for (topo, root, sinks, weights) in &nets {
+            trees.push(ws.embed(&env, topo, *root, sinks, weights));
+        }
+    };
+    // one pass warms the workspace, so its one-time growth is not counted
+    let mut warm_up = Vec::with_capacity(nets.len());
+    embed_all(&mut ws, &mut warm_up);
+    let mut trees = Vec::with_capacity(nets.len());
+    let ((), warm) = counted(|| embed_all(&mut ws, &mut trees));
+    let mut copies = Vec::with_capacity(nets.len());
+    let ((), own) = counted(|| copies.extend(trees.iter().map(rebuild)));
+    assert_eq!(copies, trees, "the rebuilt trees differ");
+    assert_eq!(trees, warm_up, "a warm workspace changed a tree");
+
+    let (topo, root, sinks, weights) = nets.last().expect("the 40-sink net");
+    let (tree, fresh) = counted(|| embed_topology(&env, topo, *root, sinks, weights));
+    assert_eq!(&tree, trees.last().expect("the 40-sink tree"), "a fresh workspace changed a tree");
+    println!(
+        "embed: warm {warm:?} over {} nets, the trees alone {own:?}; fresh, {} nodes: {fresh:?}",
+        nets.len(),
+        topo.num_nodes()
+    );
+    assert!(
+        warm.calls <= own.calls,
+        "a warm embed workspace made {} allocator calls where its {} trees make {}",
+        warm.calls,
+        nets.len(),
+        own.calls
+    );
+    assert!(
+        fresh.bytes <= FRESH_EMBED_BYTES_MAX,
+        "a fresh embed workspace requested {} bytes for one 40-sink embedding (ceiling {FRESH_EMBED_BYTES_MAX})",
+        fresh.bytes
     );
 }
