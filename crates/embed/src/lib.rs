@@ -56,12 +56,30 @@
 //!   a small pool. A node takes a row when its pull starts (in its
 //!   seed) and gives it back once its parent has seeded; the root never
 //!   seeds, so its child keeps its row until the root label `π(r)` is
-//!   read. A node's sources are pushed straight from its children's
+//!   read. A node's sources are filed straight from its children's
 //!   rows, in ascending vertex order, with the combined label summed as
 //!   `0.0 + Σ children` in child order; a vertex where that sum is
 //!   infinite is not a source. A seed rewrites its whole row (the sink
 //!   fill, or every vertex of a Steiner node), so a recycled row never
 //!   shows a stale value.
+//! * **The pull queue: a sorted run and a lazy heap.** An entry is one
+//!   `u128`, `key.to_bits() << 32 | vertex`. Keys are finite and
+//!   non-negative (seeds are `0.0` or sums of labels, and arc lengths
+//!   are asserted `≥ 0`), and the bits of such doubles order as the
+//!   doubles do, so the integer order of entries is the `(key, vertex)`
+//!   order. A seed files its sources in a *run*, sorted once, descending,
+//!   so the least pops off the end; a Steiner node's seed is every
+//!   finite window vertex, and one sort replaces a sift per source. The
+//!   improvements a pull finds go to a *lazy heap* (`BinaryHeap`), one
+//!   entry per improvement: there is no decrease-key and no position
+//!   map. A pop takes the lesser of the run's last entry and the heap's
+//!   top. An entry is live iff its key is still its vertex's label, bit
+//!   for bit; any other entry was superseded and is skipped. Both
+//!   buffers are workspace fields, cleared by the seed, so a warm
+//!   workspace does not allocate for them. (Chen, Chowdhury,
+//!   Ramachandran, Lan Roche & Tong, *Priority Queues and Dijkstra's
+//!   Algorithm*, UTCS TR-07-54, 2007, found Dijkstra faster on heaps
+//!   without decrease-key than on indexed ones.)
 //! * **Sethi–Ullman order.** The bottom-up pass is a post-order that
 //!   visits the child with the larger *need* first (Sethi & Ullman,
 //!   *The generation of optimal code for arithmetic expressions*, JACM
@@ -90,20 +108,42 @@
 //!   `dv + len < dist(u)` therefore never fires for `u`: a popped vertex
 //!   is never pushed again, and no flag has to say so.
 //!
-//! Up to the root early exit, every pull performs the heap operations
-//! of a textbook multi-source Dijkstra
-//! (`cds_graph::dijkstra::shortest_paths`) in the same order, so the
+//! # The order contract
+//!
+//! Every pull pops in `(key, vertex)` order: the least label first, the
+//! least vertex id among equal labels. Up to the root early exit, a pull
+//! therefore pops, relaxes and labels exactly as a textbook multi-source
+//! Dijkstra on a heap with that order does (a decrease-key heap ordered
+//! by `(key, id)`, such as `cds_heap::TieStampedIndexedHeap`), and the
 //! trees are bit-identical to the plain DP built on it; that DP is kept
-//! as the test reference. Neither the row pool, the pull order nor the
-//! slots can change a result:
+//! as the test reference. The queue is exact:
+//!
+//! * the keys filed for one vertex strictly fall (an improvement must
+//!   pass the strict `<`), so each `(key, vertex)` entry is filed at most
+//!   once, and the live entries are exactly one per queued vertex: its
+//!   current label. A pop of the least live entry is the decrease-key
+//!   heap's pop;
+//! * a popped vertex is never improved again (see "No settled array"),
+//!   so no entry is filed for it after its pop, and each of its older
+//!   entries fails the liveness test.
+//!
+//! Label values do not depend on the tie order either, only the choice
+//! among equal-cost parents does. A vertex popped at key `k` offers
+//! another vertex of key `k` at most `k + len ≥ k`, which the strict `<`
+//! rejects; so whichever of two tied vertices pops first, neither
+//! changes the other's label. A heap that breaks ties by its own
+//! structure (`cds_graph::dijkstra`) computes the same labels, bit for
+//! bit, and may pick other paths of equal cost.
+//!
+//! Neither the row pool, the pull order nor the slots can change a
+//! result:
 //!
 //! * a pull reads only its children's finished rows and its own; `seed`
-//!   clears the heap, which keeps no state beyond its entries; and the
-//!   seed push order, the arc order, the arc length expression, the
-//!   strict `<` relaxation and the early exit are those of the plain
-//!   DP. Pulls are otherwise independent, so running them in
-//!   Sethi–Ullman order instead of reverse preorder performs every
-//!   pull's heap operations in the same order;
+//!   clears the queue, which keeps no state beyond its entries; and the
+//!   pop order, the arc order, the arc length expression, the strict `<`
+//!   relaxation and the early exit are those of the plain DP. Pulls are
+//!   otherwise independent, so running them in Sethi–Ullman order
+//!   instead of reverse preorder pops every pull in the same order;
 //! * which pool row a node holds is never observed: every row is fully
 //!   rewritten by its seed before anything reads it;
 //! * a parent slot names exactly the `(from, edge)` pair a wider record
@@ -143,8 +183,10 @@
 //! tree.validate(grid.graph(), 2).unwrap();
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use cds_graph::{EdgeId, Graph, SteinerGraph, VertexId};
-use cds_heap::IndexedBinaryHeap;
 use cds_topo::penalty::beta;
 use cds_topo::{BifurcationConfig, EmbeddedTree, NodeId, NodeKind, Topology};
 
@@ -222,6 +264,70 @@ const NO_SLOT: u8 = u8::MAX;
 /// `pull`'s stop vertex when it runs to exhaustion: no vertex has it.
 const NO_STOP: VertexId = VertexId::MAX;
 
+/// A pull-queue entry: `key.to_bits() << 32 | vertex`. Keys are finite
+/// and non-negative, and the bits of such doubles order as the doubles
+/// do, so entries order as `(key, vertex)` pairs. No key is `-0.0`: a
+/// seed is `0.0` or a sum that starts at `0.0`, and a relaxation adds a
+/// length to a key, and `0.0 + x` is never `-0.0`.
+fn entry(v: VertexId, key: f64) -> u128 {
+    debug_assert!(key.is_sign_positive(), "pull key {key} of vertex {v}");
+    u128::from(key.to_bits()) << 32 | u128::from(v)
+}
+
+/// The pull queue (see the crate docs, "The kernel"): the node's
+/// sources as one sorted run, and the improvements found while relaxing
+/// in a lazy heap. Pops go in `(key, vertex)` order; an entry whose key
+/// is no longer its vertex's label is skipped.
+#[derive(Debug, Default)]
+struct PullQueue {
+    /// The sources, sorted descending once seeded: the least pops off
+    /// the end.
+    run: Vec<u128>,
+    /// The improvements, least first.
+    hot: BinaryHeap<Reverse<u128>>,
+}
+
+impl PullQueue {
+    fn clear(&mut self) {
+        self.run.clear();
+        self.hot.clear();
+    }
+
+    /// Files a source. The seed files them in ascending vertex order,
+    /// then calls `sort_run`.
+    fn source(&mut self, v: VertexId, key: f64) {
+        self.run.push(entry(v, key));
+    }
+
+    /// Files an improvement found while relaxing.
+    fn improve(&mut self, v: VertexId, key: f64) {
+        self.hot.push(Reverse(entry(v, key)));
+    }
+
+    /// Sorts the filed sources for popping.
+    fn sort_run(&mut self) {
+        self.run.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// Pops the least live entry as `(vertex, key)`: the least of the
+    /// run's and the heap's, skipping each whose key is not `dist` of
+    /// its vertex.
+    fn pop(&mut self, dist: &[f64]) -> Option<(VertexId, f64)> {
+        loop {
+            let from_hot = match (self.run.last(), self.hot.peek()) {
+                (None, None) => return None,
+                (Some(&r), Some(&Reverse(h))) => h < r,
+                (run, _) => run.is_none(),
+            };
+            let e = if from_hot { self.hot.pop().map(|Reverse(h)| h) } else { self.run.pop() }?;
+            let (v, bits) = (e as VertexId, (e >> 32) as u64);
+            if dist[v as usize].to_bits() == bits {
+                return Some((v, f64::from_bits(bits)));
+            }
+        }
+    }
+}
+
 /// Label rows of window length, taken by a node for its pull and given
 /// back once its parent has seeded (see the crate docs, "The kernel").
 #[derive(Debug, Default)]
@@ -260,8 +366,8 @@ impl RowPool {
 
 /// Reusable scratch of the embedding DP (see the crate docs, "The
 /// kernel"): the window adjacency with its reverse-arc slots, the label
-/// row pool, one 1-byte parent row per topology node, the heap, and the
-/// per-topology orders. Buffers grow to the largest window and topology
+/// row pool, one 1-byte parent row per topology node, the pull queue,
+/// and the per-topology orders. Buffers grow to the largest window and topology
 /// seen and stay warm, so a warm workspace embeds without allocating
 /// anything but the returned tree. Results do not depend on the
 /// workspace's history.
@@ -284,9 +390,7 @@ pub struct EmbedWorkspace {
     row_of: Vec<u32>,
     /// Node-major parent slots: node `v`'s row is `slots[v·n..(v + 1)·n]`.
     slots: Vec<u8>,
-    heap: IndexedBinaryHeap,
-    /// The id capacity `heap` was created with.
-    heap_ids: usize,
+    queue: PullQueue,
     /// The topology in preorder: recovery's order.
     order: Vec<NodeId>,
     /// The topology in preorder with children pushed in Sethi–Ullman
@@ -342,10 +446,6 @@ impl EmbedWorkspace {
         if self.row_of.len() < nodes {
             self.row_of.resize(nodes, 0);
         }
-        if self.heap_ids < n {
-            self.heap = IndexedBinaryHeap::new(n);
-            self.heap_ids = n;
-        }
         self.labels.reset();
         self.schedule(topo, weights);
         let root = topo.root();
@@ -358,9 +458,7 @@ impl EmbedWorkspace {
             let stop_at = if parent == root { root_vertex } else { NO_STOP };
             self.pull(v, n, self.sub_w[v as usize], stop_at);
         }
-        let root_label = topo.children(root).iter().fold(0.0, |acc, &c| {
-            acc + self.labels.data[self.row_of[c as usize] as usize * n + root_vertex as usize]
-        });
+        let root_label = self.root_label(topo, n, root_vertex);
         assert!(root_label.is_finite(), "the sinks are unreachable from root vertex {root_vertex}");
 
         // Top-down recovery of positions and paths.
@@ -389,6 +487,15 @@ impl EmbedWorkspace {
             self.placed[v as usize] = (out_id, cur);
         }
         out
+    }
+
+    /// `L_root(π(r))`: the root children's labels at the root vertex,
+    /// summed as `0.0 + Σ children` in child order. The root children
+    /// keep their rows until the next call.
+    fn root_label(&self, topo: &Topology, n: usize, root_vertex: VertexId) -> f64 {
+        topo.children(topo.root()).iter().fold(0.0, |acc, &c| {
+            acc + self.labels.data[self.row_of[c as usize] as usize * n + root_vertex as usize]
+        })
     }
 
     /// Rebuilds the window adjacency: one `neighbors_into` per vertex,
@@ -492,12 +599,12 @@ impl EmbedWorkspace {
         }
     }
 
-    /// Takes node `v`'s row, writes it, and queues `v`'s sources in
-    /// ascending vertex order: a sink's pin at 0, or every vertex where
-    /// the sum of the children's labels is finite. Then gives the
-    /// children's rows back.
+    /// Takes node `v`'s row, writes it, and files `v`'s sources in the
+    /// queue's run: a sink's pin at 0, or every vertex where the sum of
+    /// the children's labels is finite. Then gives the children's rows
+    /// back.
     fn seed(&mut self, topo: &Topology, v: NodeId, n: usize, sink_vertices: &[VertexId]) {
-        self.heap.clear();
+        self.queue.clear();
         let row = self.labels.take(n);
         self.row_of[v as usize] = row;
         let base = row as usize * n;
@@ -509,7 +616,7 @@ impl EmbedWorkspace {
                 data[base..base + n].fill(f64::INFINITY);
                 data[base + pin as usize] = 0.0;
                 slots[pin as usize] = NO_SLOT;
-                self.heap.push(pin, 0.0);
+                self.queue.source(pin, 0.0);
             }
             NodeKind::Root | NodeKind::Steiner => {
                 let children = topo.children(v);
@@ -523,7 +630,7 @@ impl EmbedWorkspace {
                     if label.is_finite() {
                         data[base + x] = label;
                         slots[x] = NO_SLOT;
-                        self.heap.push(x as VertexId, label);
+                        self.queue.source(x as VertexId, label);
                     } else {
                         data[base + x] = f64::INFINITY;
                     }
@@ -533,18 +640,20 @@ impl EmbedWorkspace {
                 }
             }
         }
-        assert!(!self.heap.is_empty(), "subtree of node {v} is unreachable");
+        assert!(!self.queue.run.is_empty(), "subtree of node {v} is unreachable");
+        self.queue.sort_run();
     }
 
     /// The pull: a multi-source Dijkstra from the queued sources over
     /// the window adjacency with arc length `c + w_arc·d`, labelling
-    /// node `v`'s pool row and writing its slot row. Stops once
-    /// `stop_at` is popped (`NO_STOP` never is).
+    /// node `v`'s pool row and writing its slot row, each improvement
+    /// filed in the queue's lazy heap. Stops once `stop_at` is popped
+    /// (`NO_STOP` never is).
     fn pull(&mut self, v: NodeId, n: usize, w_arc: f64, stop_at: VertexId) {
         let base = self.row_of[v as usize] as usize * n;
         let dist = &mut self.labels.data[base..base + n];
         let slot = &mut self.slots[v as usize * n..(v as usize + 1) * n];
-        while let Some((u, du)) = self.heap.pop() {
+        while let Some((u, du)) = self.queue.pop(dist) {
             if u == stop_at {
                 return;
             }
@@ -560,7 +669,7 @@ impl EmbedWorkspace {
                 if cand < dist[w] {
                     dist[w] = cand;
                     slot[w] = rev[s];
-                    self.heap.push(arc.to, cand);
+                    self.queue.improve(arc.to, cand);
                 }
             }
         }
@@ -600,19 +709,71 @@ mod tests {
     use cds_geom::Point;
     use cds_graph::dijkstra::{shortest_paths, Parent, SpTree};
     use cds_graph::{EdgeAttrs, GraphBuilder, GridGraph, GridSpec, RoutingSurface, WindowView};
+    use cds_heap::TieStampedIndexedHeap;
     use cds_rsmt::rsmt_topology;
     use proptest::prelude::*;
 
-    /// The plain embedding DP the kernel must match bit for bit: a full
-    /// `shortest_paths` per non-root node over freshly collected
-    /// sources, with window-sized label vectors per node.
+    /// A multi-source Dijkstra to exhaustion, as `reference_embed` runs
+    /// one per pull.
+    type Dijkstra<G> = fn(&G, &[(VertexId, f64)], &dyn Fn(EdgeId) -> f64) -> SpTree;
+
+    /// `cds_graph::dijkstra::shortest_paths` on a heap that pops in
+    /// `(key, vertex)` order: the textbook form of the kernel's pulls.
+    fn tied_shortest_paths<G: SteinerGraph + ?Sized>(
+        g: &G,
+        sources: &[(VertexId, f64)],
+        len: &dyn Fn(EdgeId) -> f64,
+    ) -> SpTree {
+        let n = g.num_vertices();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut parent = vec![Parent::None; n];
+        let mut heap = TieStampedIndexedHeap::new(n);
+        for &(s, d0) in sources {
+            if d0 < dist[s as usize] {
+                dist[s as usize] = d0;
+                heap.push(s, d0);
+            }
+        }
+        let mut settled = vec![false; n];
+        let mut nbrs = Vec::new();
+        while let Some((v, dv)) = heap.pop() {
+            settled[v as usize] = true;
+            g.neighbors_into(v, &mut nbrs);
+            for &(w, e) in &nbrs {
+                let cand = dv + len(e);
+                if !settled[w as usize] && cand < dist[w as usize] {
+                    dist[w as usize] = cand;
+                    parent[w as usize] = Parent::Edge { from: v, edge: e };
+                    heap.push(w, cand);
+                }
+            }
+        }
+        SpTree { dist, parent }
+    }
+
+    /// `cds_graph::dijkstra::shortest_paths` as a [`Dijkstra`]: exact
+    /// ties pop in heap-structure order.
+    fn untied_shortest_paths<G: SteinerGraph + ?Sized>(
+        g: &G,
+        sources: &[(VertexId, f64)],
+        len: &dyn Fn(EdgeId) -> f64,
+    ) -> SpTree {
+        shortest_paths(g, sources, len)
+    }
+
+    /// The plain embedding DP: a full `dijkstra` per non-root node over
+    /// freshly collected sources, with window-sized label vectors per
+    /// node. Returns the tree and the root label `L_root(π(r))`. On
+    /// [`tied_shortest_paths`] it is the DP the kernel must match bit
+    /// for bit.
     fn reference_embed<G: SteinerGraph + ?Sized>(
         env: &EmbedEnv<'_, G>,
         topo: &Topology,
         root_vertex: VertexId,
         sink_vertices: &[VertexId],
         weights: &[f64],
-    ) -> EmbeddedTree {
+        dijkstra: Dijkstra<G>,
+    ) -> (EmbeddedTree, f64) {
         assert!(
             topo.is_bifurcation_compatible(),
             "embed requires a bifurcation-compatible topology"
@@ -666,7 +827,7 @@ mod tests {
                     .map(|(x, &d)| (x as VertexId, d))
                     .collect();
                 assert!(!sources.is_empty(), "subtree of node {v} is unreachable");
-                let sp = shortest_paths(env.graph, &sources, |e| {
+                let sp = dijkstra(env.graph, &sources, &|e| {
                     env.cost[e as usize] + w_arc * env.delay[e as usize]
                 });
                 labels[v as usize] = Some(sp.dist.clone());
@@ -697,7 +858,9 @@ mod tests {
             let out_id = out.add_node(topo.node_kind(v), seed, out_parent, edges);
             map[v as usize] = Some((out_id, seed));
         }
-        out
+        let root_label =
+            labels[topo.root() as usize].as_ref().expect("root labelled")[root_vertex as usize];
+        (out, root_label)
     }
 
     /// Node kinds, vertices, parents and edge lists (in order) agree.
@@ -864,6 +1027,31 @@ mod tests {
         embed_topology(&env, &topo, 0, &[2], &[1.0]);
     }
 
+    #[test]
+    fn exact_ties_pop_in_key_vertex_order() {
+        // A unit square: the sink 3 reaches the root 0 through 1 or
+        // through 2 at the same cost, and its arc to 2 comes first. The
+        // pull files 2, then 1, both at key 1; `(key, vertex)` order pops
+        // 1 first, so 1 offers the root its label first and the strict
+        // `<` keeps it. The untied heap pops 2 first.
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(2, 3, EdgeAttrs::wire(1.0, 1.0));
+        b.add_edge(1, 3, EdgeAttrs::wire(1.0, 1.0));
+        b.add_edge(0, 1, EdgeAttrs::wire(1.0, 1.0));
+        b.add_edge(0, 2, EdgeAttrs::wire(1.0, 1.0));
+        let g = b.build();
+        let (c, d) = (g.base_costs(), g.delays());
+        let env = EmbedEnv { graph: &g, cost: &c, delay: &d, bif: BifurcationConfig::ZERO };
+        let mut topo = Topology::new(Point::new(0, 0));
+        topo.add_sink(0, Point::new(0, 0), topo.root());
+        let tree = embed_topology(&env, &topo, 0, &[3], &[1.0]);
+        assert_eq!(tree.path(1).edges, [2, 1], "root → 1 → sink");
+        let (untied, _) = reference_embed(&env, &topo, 0, &[3], &[1.0], untied_shortest_paths);
+        assert_eq!(untied.path(1).edges, [3, 0], "root → 2 → sink");
+        let cost = |t: &EmbeddedTree| t.evaluate(&c, &d, &[1.0], &BifurcationConfig::ZERO).total;
+        assert_eq!(cost(&tree), cost(&untied));
+    }
+
     /// A binary shape as child lists (node 0 is the top), grown by
     /// splitting leaf `split % leaves` into two, once per entry.
     fn grown_shape(splits: &[usize]) -> Vec<Vec<usize>> {
@@ -936,7 +1124,7 @@ mod tests {
             .collect();
         let weights: Vec<f64> = (0..k).map(|i| 0.1 + (i % 7) as f64 * 0.3).collect();
         let root = grid.vertex_at(Point::new(2, 1));
-        let want = reference_embed(&env, topo, root, &sinks, &weights);
+        let (want, _) = reference_embed(&env, topo, root, &sinks, &weights, tied_shortest_paths);
         assert_same_tree(&ws.embed(&env, topo, root, &sinks, &weights), &want, "rows_held");
         ws.label_rows()
     }
@@ -1061,12 +1249,96 @@ mod tests {
                 let env = EmbedEnv { graph: &view, cost: &cost, delay: &delay, bif };
                 let root = view.vertex_at(inst.root);
                 let sinks: Vec<VertexId> = inst.sinks.iter().map(|&p| view.vertex_at(p)).collect();
-                let want = reference_embed(&env, &inst.topo, root, &sinks, &inst.weights);
+                let (want, _) =
+                    reference_embed(&env, &inst.topo, root, &sinks, &inst.weights, tied_shortest_paths);
                 let fresh = embed_topology(&env, &inst.topo, root, &sinks, &inst.weights);
                 assert_same_tree(&fresh, &want, &format!("fresh, window {i}"));
                 let reused = warm.embed(&env, &inst.topo, root, &sinks, &inst.weights);
                 assert_same_tree(&reused, &want, &format!("warm, window {i}"));
                 want.validate(&view, inst.sinks.len()).unwrap();
+            }
+        }
+
+        /// Tie order moves no label. On uniform grids at base prices and
+        /// weights in steps of 0.5 (floods of exactly tied keys), the
+        /// kernel's root label equals, bit for bit, the one the plain DP
+        /// gets from `cds_graph::dijkstra`'s heap-structure tie order,
+        /// and the two trees' objectives agree.
+        #[test]
+        fn tie_order_moves_no_label(
+            dims in (6u32..13, 6u32..13, 2u8..5),
+            cut in (0u32..3, 0u32..3, 0u32..3, 0u32..3),
+            pins in collection::vec((0u32..64, 0u32..64), 2..10),
+            steps in collection::vec(0u8..5, 9),
+            dup in 0u8..4,
+            kind in 0u8..3,
+            d_bif in 0u8..3,
+        ) {
+            let grid = GridSpec::uniform(dims.0, dims.1, dims.2).build();
+            let g = grid.graph();
+            let (cost, delay) = (g.base_costs(), g.delays());
+            let bif = BifurcationConfig::new(f64::from(d_bif), 0.25);
+            let weights: Vec<f64> = steps.iter().map(|&k| f64::from(k) * 0.5).collect();
+            let inst = instance(&grid, cut, &pins, &weights, dup, kind, bif);
+            let (x0, y0, x1, y1) = inst.window;
+            let view = WindowView::new(&grid, x0, y0, x1, y1);
+            let env = EmbedEnv { graph: &view, cost: &cost, delay: &delay, bif };
+            let root = view.vertex_at(inst.root);
+            let sinks: Vec<VertexId> = inst.sinks.iter().map(|&p| view.vertex_at(p)).collect();
+            let mut ws = EmbedWorkspace::new();
+            let got = ws.embed(&env, &inst.topo, root, &sinks, &inst.weights);
+            let (want, label) =
+                reference_embed(&env, &inst.topo, root, &sinks, &inst.weights, untied_shortest_paths);
+            let kernel_label = ws.root_label(&inst.topo, view.num_vertices(), root);
+            prop_assert_eq!(kernel_label.to_bits(), label.to_bits());
+            let total = |t: &EmbeddedTree| t.evaluate(&cost, &delay, &inst.weights, &bif).total;
+            let (a, b) = (total(&got), total(&want));
+            prop_assert!((a - b).abs() <= 1e-9 * a.abs().max(b.abs()), "{a} vs {b}");
+        }
+
+        /// The pull queue pops what `TieStampedIndexedHeap` pops, in the
+        /// same order: sources filed in ascending vertex order, then pops
+        /// interleaved with improvements (a lower key for a vertex not yet
+        /// popped), every key one of four values so most pops are ties.
+        #[test]
+        fn pull_queue_pops_like_the_tie_stamped_heap(
+            sources in collection::vec(0u8..5, 1..40),
+            ops in collection::vec((0u8..2, 0usize..40, 0u8..4), 0..160),
+        ) {
+            let n = sources.len();
+            let mut dist = vec![f64::INFINITY; n];
+            let mut popped = vec![false; n];
+            let mut queue = PullQueue::default();
+            let mut heap = TieStampedIndexedHeap::new(n);
+            // Key 4 files no source.
+            for (v, &k) in sources.iter().enumerate() {
+                if k < 4 {
+                    dist[v] = f64::from(k);
+                    queue.source(v as VertexId, dist[v]);
+                    heap.push(v as VertexId, dist[v]);
+                }
+            }
+            queue.sort_run();
+            for &(pop, v, k) in &ops {
+                let (v, key) = (v % n, f64::from(k));
+                if pop == 1 {
+                    let got = queue.pop(&dist);
+                    prop_assert_eq!(got, heap.pop());
+                    if let Some((u, _)) = got {
+                        popped[u as usize] = true;
+                    }
+                } else if !popped[v] && key < dist[v] {
+                    dist[v] = key;
+                    queue.improve(v as VertexId, key);
+                    heap.push(v as VertexId, key);
+                }
+            }
+            loop {
+                let got = queue.pop(&dist);
+                prop_assert_eq!(got, heap.pop());
+                if got.is_none() {
+                    break;
+                }
             }
         }
 
@@ -1108,7 +1380,8 @@ mod tests {
                 let env = EmbedEnv { graph: &view, cost: &cost, delay: &delay, bif };
                 let root = view.vertex_at(inst.root);
                 let sinks: Vec<VertexId> = inst.sinks.iter().map(|&p| view.vertex_at(p)).collect();
-                let want = reference_embed(&env, &inst.topo, root, &sinks, &inst.weights);
+                let (want, _) =
+                    reference_embed(&env, &inst.topo, root, &sinks, &inst.weights, tied_shortest_paths);
                 let got = ws.embed(&env, &inst.topo, root, &sinks, &inst.weights);
                 assert_same_tree(&got, &want, &format!("step {i}"));
                 let leaves = (1..inst.topo.num_nodes() as NodeId)

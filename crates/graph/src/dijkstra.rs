@@ -1,11 +1,17 @@
 //! Single- and multi-source Dijkstra labelling.
 //!
 //! These routines back the exact reference algorithms (`cds-exact`) and
-//! a pile of tests, among them the reference DP that `cds-embed`'s
-//! kernel is held to bit for bit. Neither the core algorithm of the
-//! paper (`cds-core`, a specialised simultaneous search) nor the
-//! embedding kernel (a window-adjacency Dijkstra of its own) uses this
-//! module on the routing path.
+//! a pile of tests. Neither the core algorithm of the paper (`cds-core`,
+//! a specialised simultaneous search) nor the embedding kernel (a
+//! window-adjacency Dijkstra of its own) runs on them, but one routing
+//! path does read their paths: the L1 and SL oracles build their plane
+//! topology with `cds_rsmt::rsmt_topology`, which solves nets of at most
+//! five distinct pin positions exactly (`exact_rsmt` →
+//! `cds_exact::steiner_minimal_tree`), and Dreyfus–Wagner recovers its
+//! tree from [`shortest_paths`]' parents. Distances do not depend on how
+//! the heap breaks exact ties, but parents can, so the heap's tie order
+//! (heap structure, `IndexedBinaryHeap`) is pinned by the L1/SL route
+//! goldens.
 
 use crate::graph::{EdgeId, VertexId};
 use crate::steiner::SteinerGraph;
