@@ -7,14 +7,36 @@
 //! discounting (tree edges are free to reuse) and the delay offsets of
 //! restarted searches.
 //!
-//! All per-merge tables — component adjacency, tree-delay and
-//! exit-price tables, downstream weights, and the membership set that
-//! [`Component::absorb`] deduplicates vertices through — live in dense,
-//! epoch-stamped [`VertexTable`] slabs inside a [`CompScratch`] arena
-//! pooled by the [`SolverWorkspace`](crate::SolverWorkspace), so the
-//! merge path of a warm workspace performs no allocation. A component
-//! itself is three lists (edges, vertices in insertion order, sinks)
-//! and keeps no table sized to the vertex ids it has held.
+//! # Tree delays by one rooted walk
+//!
+//! A restarted search prices every component vertex `y` as an exit,
+//! `Σ_q w(q)·d_tree(y, q)`, and reads the raw tree delays from its
+//! terminal position. [`Component::root_walk`] roots the component once
+//! per restart: one BFS from its first vertex over the component
+//! adjacency gives local ids in BFS order (so a parent's id is below
+//! its child's), each vertex's parent and parent-edge delay. Every
+//! delay row is then one linear *sweep* — up the source's path to the
+//! root, then one scan in BFS order — so the exit prices cost
+//! `O(|C|)` per positive-weight sink, with no heap. Each swept value is
+//! its source-side neighbor's value plus one edge delay, the very
+//! addition the Dijkstra performs on a tree, and the prices add `w·d`
+//! per sink in sink order: every value is the double the per-sink
+//! Dijkstra gave. A component that is not a tree — a search left its
+//! own component and re-entered it, closing a cycle — keeps that
+//! Dijkstra as its fallback. [`Component::downstream_weights_into`]
+//! rides the same walk, rooted at the net's root.
+//!
+//! # Storage
+//!
+//! All per-merge state — the component adjacency, the walk and its
+//! sweep rows, the fallback's Dijkstra table, and the membership set
+//! that [`Component::absorb`] deduplicates vertices through — lives in
+//! a [`CompScratch`] arena pooled by the
+//! [`SolverWorkspace`](crate::SolverWorkspace): epoch-stamped
+//! [`VertexTable`] slabs and vectors indexed by local id, so the merge
+//! path of a warm workspace performs no allocation. A component itself
+//! is three lists (edges, vertices in insertion order, sinks) and
+//! keeps no table sized to the vertex ids it has held.
 
 use crate::table::{VertexSet, VertexTable};
 use cds_graph::{EdgeId, SteinerGraph, VertexId};
@@ -135,27 +157,122 @@ impl DenseAdjacency {
     }
 }
 
-/// The pooled scratch arena for per-merge component computations:
-/// adjacency, tree-delay and exit-price tables, and the downstream
-/// accumulation state. One lives in every
-/// [`SolverWorkspace`](crate::SolverWorkspace); all tables clear in
-/// `O(1)` and keep their slabs warm across merges and solves.
+/// Parent-edge slot of a walk's root, which has no parent.
+const NO_PARENT_EDGE: EdgeId = EdgeId::MAX;
+
+/// The pooled scratch arena for per-merge component computations: the
+/// adjacency, the rooted walk and its sweep buffers, the non-tree
+/// fallback's Dijkstra state, and the membership set of
+/// [`Component::absorb`]. One lives in every
+/// [`SolverWorkspace`](crate::SolverWorkspace); its tables clear in
+/// `O(1)` and its vectors by `clear`/`resize`, so all of it keeps its
+/// slabs warm across merges and solves.
 #[derive(Debug, Default)]
 pub struct CompScratch {
     /// Component adjacency (rebuilt per query).
     pub(crate) adj: DenseAdjacency,
-    /// Raw tree delays from the last [`Component::tree_delays_into`].
-    pub delay: VertexTable<f64>,
-    /// Weighted exit prices from the last
-    /// [`Component::weighted_exit_delay_prebuilt`].
-    pub exit: VertexTable<f64>,
+    /// Local id of every vertex the last walk reached.
+    local: VertexTable<u32>,
+    /// The reached vertices in BFS order: local id → vertex.
+    verts: Vec<VertexId>,
+    /// Local id of each vertex's parent; `par[i] < i`, and the root's
+    /// entry is `0`.
+    par: Vec<u32>,
+    /// Edge to the parent (`NO_PARENT_EDGE` at the root).
+    pe: Vec<EdgeId>,
+    /// Delay of the edge to the parent (`0.0` at the root), filled by
+    /// [`Component::root_walk`].
+    de: Vec<f64>,
+    /// Whether the last walk was a [`Component::root_walk`] that found
+    /// a tree the sweeps may price; `false` sends the delay queries to
+    /// the Dijkstra.
+    tree: bool,
+    /// Per-local-vertex row: a sweep's tree delays from its source (the
+    /// downstream pass keeps each vertex's own sink weight here).
+    dist: Vec<f64>,
+    /// Per-local-vertex accumulator: exit prices, or the downstream
+    /// pass's sums over children.
+    acc: Vec<f64>,
+    /// The source-to-root path of the sweep in progress; all `false`
+    /// between sweeps.
+    on_path: Vec<bool>,
+    /// The fallback Dijkstra's distances and queue.
+    delay: VertexTable<f64>,
     heap: BinaryHeap<Reverse<(OrderedF64, VertexId)>>,
-    parent: VertexTable<VertexId>,
-    weight_at: VertexTable<f64>,
-    /// Visited set of the downstream walk, and the membership set of
-    /// [`Component::absorb`].
+    /// Membership set of [`Component::absorb`].
     seen: VertexSet,
-    order: Vec<VertexId>,
+}
+
+impl CompScratch {
+    /// Breadth-first walk over the built adjacency from `root`, which
+    /// assigns local ids in BFS order (so `par[i] < i`). Neighbors are
+    /// taken in adjacency order, first reach wins — the spanning tree
+    /// any BFS over this adjacency finds. Returns whether every
+    /// adjacency entry met was the tree edge itself: an entry that
+    /// reaches an already-seen vertex through any other edge id (a
+    /// cycle, a parallel edge, a self-loop) makes the walk not a tree.
+    /// A repeated copy of a tree edge's id is the same edge.
+    fn walk(&mut self, root: VertexId) -> bool {
+        self.tree = false;
+        self.local.clear();
+        self.verts.clear();
+        self.par.clear();
+        self.pe.clear();
+        self.local.insert(root, 0);
+        self.verts.push(root);
+        self.par.push(0);
+        self.pe.push(NO_PARENT_EDGE);
+        let mut acyclic = true;
+        let mut i = 0;
+        while i < self.verts.len() {
+            for &(y, e) in self.adj.neighbors(self.verts[i]) {
+                match self.local.get(y) {
+                    None => {
+                        self.local.insert(y, self.verts.len() as u32);
+                        self.verts.push(y);
+                        self.par.push(i as u32);
+                        self.pe.push(e);
+                    }
+                    Some(j) => {
+                        let j = j as usize;
+                        acyclic &= (self.pe[i] == e && self.par[i] as usize == j)
+                            || (self.pe[j] == e && self.par[j] as usize == i);
+                    }
+                }
+            }
+            i += 1;
+        }
+        acyclic
+    }
+
+    /// Tree delays from local vertex `s` to every walked vertex, into
+    /// `dist`. Up the path from `s` to the root it sets
+    /// `dist[par[x]] = dist[x] + de[x]`; then one scan in BFS order sets
+    /// `dist[i] = dist[par[i]] + de[i]` for every vertex off that path.
+    /// Each value is its `s`-side neighbor's value plus that one edge's
+    /// delay — the one addition the Dijkstra performs for it on a tree,
+    /// so every value is the Dijkstra's double.
+    fn sweep(&mut self, s: usize) {
+        let (par, de) = (&self.par, &self.de);
+        let (dist, on_path) = (&mut self.dist, &mut self.on_path);
+        dist[s] = 0.0;
+        on_path[s] = true;
+        let mut x = s;
+        while x != 0 {
+            let p = par[x] as usize;
+            dist[p] = dist[x] + de[x];
+            on_path[p] = true;
+            x = p;
+        }
+        on_path[0] = false;
+        for i in 1..self.verts.len() {
+            if on_path[i] {
+                on_path[i] = false;
+            } else {
+                dist[i] = dist[par[i] as usize] + de[i];
+            }
+        }
+    }
 }
 
 /// The tree-so-far of one component: its edges, its vertices, and the
@@ -167,7 +284,7 @@ pub struct Component {
     /// Vertices the component occupies, deduplicated, in insertion
     /// order (deduplicated by [`absorb`](Self::absorb) through the
     /// workspace's scratch set, so a component keeps no membership
-    /// table of its own).
+    /// table of its own). Every endpoint of every edge is among them.
     vertices: Vec<VertexId>,
     /// Sinks inside the component: (vertex, delay weight).
     pub sinks: Vec<(VertexId, f64)>,
@@ -238,9 +355,102 @@ impl Component {
         }
     }
 
-    /// For every component vertex `y`, the *weighted delay to the
-    /// component's sinks* through the tree: `Σ_q w(q)·d_tree(y, q)`,
-    /// into `scratch.exit` (read with `get_or(v, 0.0)`).
+    /// Roots the component at its first vertex for the delay queries
+    /// that follow ([`tree_delays_into`](Self::tree_delays_into),
+    /// [`exit_prices_into`](Self::exit_prices_into),
+    /// [`tree_delay`](Self::tree_delay)): builds the adjacency in
+    /// `scratch`, walks it, and reads each vertex's parent-edge delay.
+    ///
+    /// Returns whether the queries will sweep the walk: the component
+    /// must be a tree (no cycle or parallel edge, see the walk), the
+    /// walk must reach all its vertices, and every tree edge delay must
+    /// be finite and non-negative. Otherwise — a search that left its
+    /// own component and re-entered it closes a cycle — the queries
+    /// run the Dijkstra over the same adjacency instead, and the caller
+    /// counts a fallback. Either way the values are the same doubles.
+    pub fn root_walk<G: SteinerGraph + ?Sized>(
+        &self,
+        g: &G,
+        d: &[f64],
+        scratch: &mut CompScratch,
+    ) -> bool {
+        scratch.adj.build(&self.edges, g);
+        let mut tree = scratch.walk(self.vertices[0]);
+        // the walk reaches only endpoints of edges, all of them
+        // component vertices, so a full count is the whole vertex set
+        tree &= scratch.verts.len() == self.vertices.len();
+        scratch.de.clear();
+        scratch.de.push(0.0);
+        for &e in &scratch.pe[1..] {
+            let de = d[e as usize];
+            // the Dijkstra never reaches across an infinite or NaN
+            // delay, and a negative one breaks its settle order
+            tree &= (0.0..f64::INFINITY).contains(&de);
+            scratch.de.push(de);
+        }
+        let n = scratch.verts.len();
+        scratch.dist.resize(n, 0.0);
+        scratch.on_path.resize(n, false);
+        scratch.tree = tree;
+        tree
+    }
+
+    /// Appends the raw tree delay (`Σ d(e)`) from `from` to every
+    /// component vertex to `out`, as `(vertex, delay)` pairs in no
+    /// particular order (vertices unreachable through the component —
+    /// possible only by construction error — are left out). Reads the
+    /// immediately preceding [`root_walk`](Self::root_walk) of this
+    /// component.
+    pub fn tree_delays_into(
+        &self,
+        d: &[f64],
+        from: VertexId,
+        scratch: &mut CompScratch,
+        out: &mut Vec<(VertexId, f64)>,
+    ) {
+        if scratch.tree {
+            // a source outside the walk is outside the component, and
+            // reaches no component vertex
+            if let Some(s) = scratch.local.get(from) {
+                scratch.sweep(s as usize);
+                out.extend(scratch.verts.iter().copied().zip(scratch.dist.iter().copied()));
+            }
+        } else {
+            tree_delays_over(&scratch.adj, d, from, &mut scratch.delay, &mut scratch.heap);
+            let delay = &scratch.delay;
+            out.extend(self.vertices.iter().filter_map(|&v| delay.get(v).map(|raw| (v, raw))));
+        }
+    }
+
+    /// The raw tree delay from `from` to `to` (`0.0` if `to` is not
+    /// reachable through the component). Reads the immediately
+    /// preceding [`root_walk`](Self::root_walk) of this component.
+    pub fn tree_delay(
+        &self,
+        d: &[f64],
+        from: VertexId,
+        to: VertexId,
+        scratch: &mut CompScratch,
+    ) -> f64 {
+        if scratch.tree {
+            match (scratch.local.get(from), scratch.local.get(to)) {
+                (Some(s), Some(t)) => {
+                    scratch.sweep(s as usize);
+                    scratch.dist[t as usize]
+                }
+                _ => 0.0,
+            }
+        } else {
+            tree_delays_over(&scratch.adj, d, from, &mut scratch.delay, &mut scratch.heap);
+            scratch.delay.get_or(to, 0.0)
+        }
+    }
+
+    /// Appends, for every component vertex `y`, the *weighted delay to
+    /// the component's sinks* through the tree — `Σ_q w(q)·d_tree(y, q)`
+    /// — to `out`, as `(y, price)` pairs in no particular order. Reads
+    /// the immediately preceding [`root_walk`](Self::root_walk) of this
+    /// component.
     ///
     /// This is the exact future delay cost the component's sinks incur
     /// if the next connection (ultimately: the root path) enters at `y`
@@ -248,19 +458,44 @@ impl Component {
     /// For a singleton sink component it is `w·d_tree(y, sink)`, the
     /// paper's original seeding.
     ///
-    /// Assumes `scratch.adj` was already built for this component's
-    /// edges by an immediately preceding
-    /// [`tree_delays_into`](Self::tree_delays_into).
-    pub fn weighted_exit_delay_prebuilt(&self, d: &[f64], scratch: &mut CompScratch) {
-        scratch.exit.clear();
-        for &(q, w) in &self.sinks {
-            if w == 0.0 {
-                continue;
+    /// On a tree it costs one sweep per sink with a positive weight,
+    /// `O(|C|)` each; each price adds `w·d` per sink in sink order,
+    /// exactly as the per-sink Dijkstra form (the fallback) does.
+    pub fn exit_prices_into(
+        &self,
+        d: &[f64],
+        scratch: &mut CompScratch,
+        out: &mut Vec<(VertexId, f64)>,
+    ) {
+        scratch.acc.clear();
+        if scratch.tree {
+            scratch.acc.resize(scratch.verts.len(), 0.0);
+            for &(q, w) in &self.sinks {
+                if w == 0.0 {
+                    continue;
+                }
+                // a sink outside the walk reaches no component vertex,
+                // which would add `w·0` to every price
+                if let Some(s) = scratch.local.get(q) {
+                    scratch.sweep(s as usize);
+                    for (price, &dq) in scratch.acc.iter_mut().zip(&scratch.dist) {
+                        *price += w * dq;
+                    }
+                }
             }
-            tree_delays_over(&scratch.adj, d, q, &mut scratch.delay, &mut scratch.heap);
-            for &v in &self.vertices {
-                scratch.exit.add(v, 0.0, w * scratch.delay.get_or(v, 0.0));
+            out.extend(scratch.verts.iter().copied().zip(scratch.acc.iter().copied()));
+        } else {
+            scratch.acc.resize(self.vertices.len(), 0.0);
+            for &(q, w) in &self.sinks {
+                if w == 0.0 {
+                    continue;
+                }
+                tree_delays_over(&scratch.adj, d, q, &mut scratch.delay, &mut scratch.heap);
+                for (price, &v) in scratch.acc.iter_mut().zip(&self.vertices) {
+                    *price += w * scratch.delay.get_or(v, 0.0);
+                }
             }
+            out.extend(self.vertices.iter().copied().zip(scratch.acc.iter().copied()));
         }
     }
 
@@ -271,6 +506,10 @@ impl Component {
     /// root-component paths (Fig. 1 of the paper: keeping taps off the
     /// critical trunk). `down` is caller-owned so the solver workspace
     /// can refill its pooled table on every root merge.
+    ///
+    /// The accumulation runs over the BFS spanning tree of the walk
+    /// from `root`, leaves first (reverse BFS order), on a cyclic
+    /// component as on a tree.
     pub fn downstream_weights_into<G: SteinerGraph + ?Sized>(
         &self,
         g: &G,
@@ -280,60 +519,34 @@ impl Component {
     ) {
         down.clear();
         scratch.adj.build(&self.edges, g);
-        scratch.weight_at.clear();
+        scratch.walk(root);
+        let n = scratch.verts.len();
+        // each vertex's own sink weight, and the sum over its children
+        let (own, below) = (&mut scratch.dist, &mut scratch.acc);
+        own.clear();
+        own.resize(n, 0.0);
+        below.clear();
+        below.resize(n, 0.0);
         for &(q, w) in &self.sinks {
-            scratch.weight_at.add(q, 0.0, w);
-        }
-        // iterative post-order accumulation from `root`
-        scratch.parent.clear();
-        scratch.seen.clear();
-        scratch.order.clear();
-        scratch.order.push(root);
-        scratch.seen.insert(root);
-        let mut head = 0;
-        while head < scratch.order.len() {
-            let v = scratch.order[head];
-            head += 1;
-            for &(w, _) in scratch.adj.neighbors(v) {
-                if scratch.seen.insert(w) {
-                    scratch.parent.insert(w, v);
-                    scratch.order.push(w);
-                }
+            if let Some(j) = scratch.local.get(q) {
+                own[j as usize] += w;
             }
         }
-        for &v in scratch.order.iter().rev() {
-            let own = scratch.weight_at.get_or(v, 0.0);
-            let acc = down.get_or(v, 0.0) + own;
-            down.insert(v, acc);
-            if let Some(p) = scratch.parent.get(v) {
-                down.add(p, 0.0, acc);
+        for i in (0..n).rev() {
+            let acc = below[i] + own[i];
+            down.insert(scratch.verts[i], acc);
+            if i > 0 {
+                below[scratch.par[i] as usize] += acc;
             }
         }
-    }
-
-    /// Raw tree delay (`Σ d(e)`) from `from` to every component vertex,
-    /// walking only component edges, into `scratch.delay` (read with
-    /// `get`; vertices unreachable through the component — possible only
-    /// by construction error — are absent).
-    pub fn tree_delays_into<G: SteinerGraph + ?Sized>(
-        &self,
-        g: &G,
-        d: &[f64],
-        from: VertexId,
-        scratch: &mut CompScratch,
-    ) {
-        scratch.adj.build(&self.edges, g);
-        tree_delays_over(&scratch.adj, d, from, &mut scratch.delay, &mut scratch.heap);
     }
 }
 
-/// The tree-delay Dijkstra over a prebuilt component adjacency —
-/// Dijkstra-style because duplicate edges could create cycles of
-/// differing delay. It is not cheap: `weighted_exit_delay_prebuilt` runs
-/// it once per sink of the component, so high-fanout nets pay sinks ×
-/// component size (87 378 runs visiting 3.49 M vertices on one
-/// 5-iteration route of the `fanout_t1` bench document, against 1.60 M
-/// kernel settles).
+/// The tree-delay Dijkstra over a prebuilt component adjacency: the
+/// fallback of the delay queries when [`Component::root_walk`] finds no
+/// tree to sweep (a cycle or parallel edges, where paths of differing
+/// delay compete). On the fixture and bench documents no component
+/// takes it; `SolveStats::tree_fallbacks` counts the ones that do.
 fn tree_delays_over(
     adj: &DenseAdjacency,
     d: &[f64],
@@ -362,7 +575,212 @@ fn tree_delays_over(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cds_graph::{EdgeAttrs, GraphBuilder};
+    use cds_graph::{EdgeAttrs, Graph, GraphBuilder};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `(vertex, value)` pairs as bit patterns, sorted by vertex.
+    fn bits(mut pairs: Vec<(VertexId, f64)>) -> Vec<(VertexId, u64)> {
+        pairs.sort_unstable_by_key(|&(v, _)| v);
+        pairs.into_iter().map(|(v, x)| (v, x.to_bits())).collect()
+    }
+
+    /// The Dijkstra's delays from `from` to every reachable component
+    /// vertex.
+    fn reference_delays(
+        c: &Component,
+        g: &Graph,
+        d: &[f64],
+        from: VertexId,
+    ) -> Vec<(VertexId, f64)> {
+        let mut adj = DenseAdjacency::default();
+        adj.build(&c.edges, g);
+        let (mut delay, mut heap) = (VertexTable::new(), BinaryHeap::new());
+        tree_delays_over(&adj, d, from, &mut delay, &mut heap);
+        c.vertices().iter().filter_map(|&v| delay.get(v).map(|x| (v, x))).collect()
+    }
+
+    /// The exit prices in their per-sink Dijkstra form: one Dijkstra
+    /// per positive-weight sink, `w·d` added into a vertex table.
+    fn reference_exit_prices(c: &Component, g: &Graph, d: &[f64]) -> Vec<(VertexId, f64)> {
+        let mut adj = DenseAdjacency::default();
+        adj.build(&c.edges, g);
+        let (mut delay, mut heap) = (VertexTable::new(), BinaryHeap::new());
+        let mut exit = VertexTable::new();
+        for &(q, w) in &c.sinks {
+            if w == 0.0 {
+                continue;
+            }
+            tree_delays_over(&adj, d, q, &mut delay, &mut heap);
+            for &v in c.vertices() {
+                exit.add(v, 0.0, w * delay.get_or(v, 0.0));
+            }
+        }
+        c.vertices().iter().map(|&v| (v, exit.get_or(v, 0.0))).collect()
+    }
+
+    /// Downstream weights by a BFS parent map over vertex tables and a
+    /// reverse-order accumulation.
+    fn reference_downstream(c: &Component, g: &Graph, root: VertexId) -> Vec<(VertexId, f64)> {
+        let mut adj = DenseAdjacency::default();
+        adj.build(&c.edges, g);
+        let mut weight_at = VertexTable::new();
+        for &(q, w) in &c.sinks {
+            weight_at.add(q, 0.0, w);
+        }
+        let (mut parent, mut seen, mut order) = (VertexTable::new(), VertexSet::new(), vec![root]);
+        seen.insert(root);
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for &(w, _) in adj.neighbors(v) {
+                if seen.insert(w) {
+                    parent.insert(w, v);
+                    order.push(w);
+                }
+            }
+        }
+        let mut down = VertexTable::new();
+        for &v in order.iter().rev() {
+            let acc = down.get_or(v, 0.0) + weight_at.get_or(v, 0.0);
+            down.insert(v, acc);
+            if let Some(p) = parent.get(v) {
+                down.add(p, 0.0, acc);
+            }
+        }
+        c.vertices().iter().filter_map(|&v| down.get(v).map(|x| (v, x))).collect()
+    }
+
+    /// A random component on `n` vertices and the graph it lives in: a
+    /// random tree over a shuffled labelling, its edges in random order
+    /// with repeated copies of some edge ids, delays that include
+    /// zeros, the vertex list in random order (so a random vertex is
+    /// the walk's root), and sinks that share vertices or weigh zero.
+    /// With `close_cycle`, one more edge joins two tree vertices.
+    fn random_component(seed: u64, n: usize, close_cycle: bool) -> (Graph, Vec<f64>, Component) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut label: Vec<VertexId> = (0..n as VertexId).collect();
+        for i in (1..n).rev() {
+            label.swap(i, rng.gen_range(0..=i));
+        }
+        let delay = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => 0.0,
+            1 => f64::from(rng.gen_range(1..4u8)),
+            _ => rng.gen::<f64>() * 10f64.powi(rng.gen_range(-3..4)),
+        };
+        let mut b = GraphBuilder::new(n);
+        let mut d = Vec::new();
+        let mut edges = Vec::new();
+        for i in 1..n {
+            let p = rng.gen_range(0..i);
+            let (u, v) = if rng.gen() { (label[i], label[p]) } else { (label[p], label[i]) };
+            d.push(delay(&mut rng));
+            edges.push(b.add_edge(u, v, EdgeAttrs::wire(1.0, 1.0)));
+        }
+        if close_cycle && n >= 2 {
+            let u = rng.gen_range(0..n);
+            let v = (u + rng.gen_range(1..n)) % n;
+            d.push(delay(&mut rng));
+            edges.push(b.add_edge(label[u], label[v], EdgeAttrs::wire(1.0, 1.0)));
+        }
+        for i in 0..edges.len() {
+            if rng.gen_range(0..5) == 0 {
+                edges.push(edges[i]);
+            }
+        }
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.gen_range(0..=i));
+        }
+        for i in (1..n).rev() {
+            label.swap(i, rng.gen_range(0..=i));
+        }
+        let sinks = (0..rng.gen_range(0..6))
+            .map(|_| {
+                let w = if rng.gen_range(0..3) == 0 { 0.0 } else { rng.gen::<f64>() * 5.0 };
+                (label[rng.gen_range(0..n)], w)
+            })
+            .collect();
+        (b.build(), d, Component { edges, vertices: label, sinks })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// On a tree the sweeps reproduce the Dijkstra bit for bit: the
+        /// delay row from every vertex, every pairwise delay, the exit
+        /// prices, and the downstream weights from every root. With a
+        /// closed cycle the walk reports no tree and the queries still
+        /// return the Dijkstra's values.
+        #[test]
+        fn sweeps_match_the_dijkstra_bit_for_bit(
+            seed in 0u64..1 << 48,
+            n in 1usize..40,
+            cycle_draw in 0u8..4,
+        ) {
+            let close_cycle = cycle_draw == 0;
+            let (g, d, comp) = random_component(seed, n, close_cycle);
+            let mut s = CompScratch::default();
+            let tree = comp.root_walk(&g, &d, &mut s);
+            prop_assert_eq!(tree, !(close_cycle && n >= 2));
+            let mut got = Vec::new();
+            comp.exit_prices_into(&d, &mut s, &mut got);
+            prop_assert_eq!(bits(got), bits(reference_exit_prices(&comp, &g, &d)));
+            for &from in comp.vertices() {
+                let want = reference_delays(&comp, &g, &d, from);
+                let mut got = Vec::new();
+                comp.tree_delays_into(&d, from, &mut s, &mut got);
+                prop_assert_eq!(bits(got), bits(want.clone()));
+                for &(to, x) in &want {
+                    prop_assert_eq!(comp.tree_delay(&d, from, to, &mut s).to_bits(), x.to_bits());
+                }
+            }
+            for &root in comp.vertices() {
+                let mut down = VertexTable::new();
+                comp.downstream_weights_into(&g, root, &mut down, &mut s);
+                let got = comp.vertices().iter().filter_map(|&v| down.get(v).map(|x| (v, x))).collect();
+                prop_assert_eq!(bits(got), bits(reference_downstream(&comp, &g, root)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_path_that_reenters_its_component_takes_the_one_fallback() {
+        // a 4-cycle 0-1-2-3 with a tail 0-4: sinks at 0 and 2 merge over
+        // 0-1-2; then a path leaves at 2, runs 2-3-0 — re-entering at 0
+        // — and on to a third sink at 4, closing the cycle 0-1-2-3-0
+        let mut b = GraphBuilder::new(5);
+        let e01 = b.add_edge(0, 1, EdgeAttrs::wire(1.0, 1.0));
+        let e12 = b.add_edge(1, 2, EdgeAttrs::wire(1.0, 1.0));
+        let e23 = b.add_edge(2, 3, EdgeAttrs::wire(1.0, 1.0));
+        let e30 = b.add_edge(3, 0, EdgeAttrs::wire(1.0, 1.0));
+        let e04 = b.add_edge(0, 4, EdgeAttrs::wire(1.0, 1.0));
+        let g = b.build();
+        let d = [3.0, 2.5, 0.25, 0.5, 1.0];
+        let mut s = CompScratch::default();
+        let mut fallbacks = 0;
+        // what a restarted search at `from` reads: the raw delays and
+        // the exit prices, after one walk
+        let mut restart = |c: &Component, from: VertexId, s: &mut CompScratch| {
+            fallbacks += usize::from(!c.root_walk(&g, &d, s));
+            let (mut raw, mut exit) = (Vec::new(), Vec::new());
+            c.tree_delays_into(&d, from, s, &mut raw);
+            c.exit_prices_into(&d, s, &mut exit);
+            assert_eq!(bits(raw), bits(reference_delays(c, &g, &d, from)));
+            assert_eq!(bits(exit), bits(reference_exit_prices(c, &g, &d)));
+        };
+        let mut c = Component::singleton(0, vec![(0, 1.0)]);
+        c.absorb(&mut Component::singleton(2, vec![(2, 2.0)]), &[e01, e12], &g, &mut s);
+        restart(&c, 1, &mut s);
+        c.absorb(&mut Component::singleton(4, vec![(4, 1.0)]), &[e23, e30, e04], &g, &mut s);
+        restart(&c, 0, &mut s);
+        assert_eq!(fallbacks, 1, "only the component with the cycle falls back");
+        // the cycle's short side wins: 2 reaches 0 over 3 (0.25 + 0.5),
+        // not over 1 (2.5 + 3.0)
+        assert!(!c.root_walk(&g, &d, &mut s));
+        assert_eq!(c.tree_delay(&d, 2, 0, &mut s), 0.75);
+        assert_eq!(c.tree_delay(&d, 2, 4, &mut s), 1.75);
+    }
 
     #[test]
     fn dsu_union_find() {
@@ -400,9 +818,12 @@ mod tests {
         assert!(c3.vertices().is_empty());
         assert_eq!(c0.vertices(), &[0, 3, 1, 2]);
         assert_eq!(c0.edges.len(), 3);
-        c0.tree_delays_into(&g, &d, 0, &mut s);
-        assert_eq!(s.delay.get(3), Some(7.0));
-        assert_eq!(s.delay.get(1), Some(1.0));
+        assert!(c0.root_walk(&g, &d, &mut s), "a path is a tree");
+        let mut delays = Vec::new();
+        c0.tree_delays_into(&d, 0, &mut s, &mut delays);
+        delays.sort_unstable_by_key(|&(v, _)| v);
+        assert_eq!(delays, vec![(0, 0.0), (1, 1.0), (2, 3.0), (3, 7.0)]);
+        assert_eq!(c0.tree_delay(&d, 3, 1, &mut s), 6.0);
     }
 
     #[test]
@@ -455,14 +876,12 @@ mod tests {
         let mut comp = Component::singleton(0, vec![(0, 1.0)]);
         let mut s = CompScratch::default();
         comp.absorb(&mut Component::singleton(3, vec![(3, 3.0)]), &[0, 1, 2], &g, &mut s);
-        comp.tree_delays_into(&g, &d, 0, &mut s);
-        comp.weighted_exit_delay_prebuilt(&d, &mut s);
+        assert!(comp.root_walk(&g, &d, &mut s));
+        let mut exit = Vec::new();
+        comp.exit_prices_into(&d, &mut s, &mut exit);
+        exit.sort_unstable_by_key(|&(v, _)| v);
         // exit at 0: 1*0 + 3*3 = 9; at 3: 1*3 + 3*0 = 3; at 2: 1*2 + 3*1 = 5
-        assert_eq!(s.exit.get_or(0, 0.0), 9.0);
-        assert_eq!(s.exit.get_or(3, 0.0), 3.0);
-        assert_eq!(s.exit.get_or(2, 0.0), 5.0);
-        // the best exit is at the heavy sink
-        assert!(s.exit.get_or(3, 0.0) < s.exit.get_or(0, 0.0));
+        assert_eq!(exit, vec![(0, 9.0), (1, 7.0), (2, 5.0), (3, 3.0)]);
     }
 
     #[test]

@@ -249,5 +249,44 @@ mod tests {
             prop_assert!(r.evaluation.total.is_finite());
             prop_assert!(r.stats.merges >= sinks.len());
         }
+
+        /// Scaling `c`, `d` and `d_bif` together by `2^k` scales every
+        /// label, key, exit price and penalty by that power of two,
+        /// which floating point does exactly, and the bucket quantum
+        /// (the least positive cost) with them. So the kernel must make
+        /// every decision it made unscaled: the same tree, and the
+        /// objective times `2^k` bit for bit. An absolute epsilon
+        /// anywhere in the kernel breaks this.
+        #[test]
+        fn scaling_costs_and_delays_by_a_power_of_two_moves_no_decision(
+            seed in 0u64..1 << 48,
+            seedpts in proptest::collection::hash_set((0u32..6, 0u32..6), 1..6),
+            k in -20i32..=30,
+            dbif in 0.0f64..6.0,
+            eta in 0.0f64..=0.5,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let grid = GridSpec::uniform(6, 6, 2).build();
+            let m = grid.graph().num_edges();
+            let c: Vec<f64> = (0..m).map(|_| 0.5 + 3.0 * rng.gen::<f64>()).collect();
+            let d: Vec<f64> = (0..m).map(|_| 2.0 * rng.gen::<f64>()).collect();
+            let root = grid.vertex(3, 3, 1);
+            let sinks: Vec<u32> = seedpts.iter().map(|&(x, y)| grid.vertex(x, y, 0)).collect();
+            let weights: Vec<f64> = sinks.iter().map(|_| 4.0 * rng.gen::<f64>()).collect();
+            let scale = 2f64.powi(k);
+            let (cs, ds): (Vec<f64>, Vec<f64>) =
+                (c.iter().map(|x| x * scale).collect(), d.iter().map(|x| x * scale).collect());
+            let req = Request::new(grid.graph(), &c, &d, root, &sinks, &weights)
+                .with_bif(BifurcationConfig::new(dbif, eta));
+            let scaled = Request::new(grid.graph(), &cs, &ds, root, &sinks, &weights)
+                .with_bif(BifurcationConfig::new(dbif * scale, eta));
+            for config in [SessionConfig::DEFAULT, SessionConfig::BASE] {
+                let (a, b) = (solve(&config, &req), solve(&config, &scaled));
+                prop_assert_eq!(a.tree.edges().collect::<Vec<_>>(), b.tree.edges().collect::<Vec<_>>());
+                prop_assert_eq!((a.evaluation.total * scale).to_bits(), b.evaluation.total.to_bits());
+                prop_assert_eq!(a.stats, b.stats);
+            }
+        }
     }
 }

@@ -100,6 +100,11 @@ pub struct SolveStats {
     /// Bucket-array slots scanned by the Dial queue — the `C/Δ` term
     /// of Dial's complexity.
     pub bucket_scans: u64,
+    /// Component delay queries (restart exit prices, §III-D's `v_raw`)
+    /// that found no tree to sweep and ran the Dijkstra instead — a
+    /// component whose own search left and re-entered it. Not part of
+    /// the route JSON or checkpoints.
+    pub tree_fallbacks: usize,
 }
 
 impl SolveStats {
@@ -113,6 +118,7 @@ impl SolveStats {
         self.decreased += o.decreased;
         self.merges += o.merges;
         self.bucket_scans += o.bucket_scans;
+        self.tree_fallbacks += o.tree_fallbacks;
     }
 }
 
@@ -542,16 +548,14 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
             // INVARIANT: rep is a DSU representative with an active search, and components live at representatives until extracted by a merge.
             let comp = self.ws.terminals[rep].comp.as_ref().expect("live component");
             if self.config.discount_components && !comp.edges.is_empty() {
-                // raw tree delays from the terminal position, for §III-D
-                comp.tree_delays_into(self.req.graph, self.req.delay, t_vertex, &mut cs);
-                for &v in comp.vertices() {
-                    if let Some(raw) = cs.delay.get(v) {
-                        search.seed_raw.push((v, raw));
-                    }
+                // root the component once; the raw tree delays from the
+                // terminal position (for §III-D) and the exit prices are
+                // sweeps over that one walk
+                if !comp.root_walk(self.req.graph, self.req.delay, &mut cs) {
+                    self.stats.tree_fallbacks += 1;
                 }
-                // the adjacency built by tree_delays_into is still valid
-                comp.weighted_exit_delay_prebuilt(self.req.delay, &mut cs);
-                seeds.extend(comp.vertices().iter().map(|&v| (v, cs.exit.get_or(v, 0.0))));
+                comp.tree_delays_into(self.req.delay, t_vertex, &mut cs, &mut search.seed_raw);
+                comp.exit_prices_into(self.req.delay, &mut cs, &mut seeds);
             } else {
                 // a single-vertex component seeds only its own position
                 // at zero offset — same result as the general path,
@@ -905,8 +909,10 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         let v_raw = {
             let mut cs = std::mem::take(&mut self.ws.comp_scratch);
             let v_vertex = self.ws.terminals[v].vertex;
-            comp_v.tree_delays_into(self.req.graph, self.req.delay, v_vertex, &mut cs);
-            let raw = cs.delay.get_or(join, 0.0);
+            if !comp_v.root_walk(self.req.graph, self.req.delay, &mut cs) {
+                self.stats.tree_fallbacks += 1;
+            }
+            let raw = comp_v.tree_delay(self.req.delay, v_vertex, join, &mut cs);
             self.ws.comp_scratch = cs;
             raw
         };

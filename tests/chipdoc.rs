@@ -13,8 +13,11 @@
 //!    reproduces the pinned checksums for all four oracles at 1 and 4
 //!    threads, and replaying the archived 120-request solver stream
 //!    reproduces the sparse-era golden of `tests/determinism.rs`.
+//! 3. **No tree-delay fallback** — every component a CD restart prices
+//!    on the archived documents is a tree, so the rooted sweeps price
+//!    them all and the Dijkstra fallback is never taken.
 
-use cds_core::{Request, SolveResult, Solver};
+use cds_core::{Request, SolveResult, SolveStats, Solver};
 use cds_geom::Point;
 use cds_graph::GridGraph;
 use cds_graph::{Direction, GridSpec, LayerSpec, WireTypeSpec};
@@ -22,11 +25,15 @@ use cds_instgen::io::doc::{
     chip_doc_to_string, parse_chip_doc, read_chip_streaming, ChipDoc, RequestRecord,
 };
 use cds_instgen::{Chain, ChainLink, ChipSpec, Net, SinkProfile};
-use cds_router::{Router, RouterConfig, SteinerMethod};
-use cds_topo::BifurcationConfig;
+use cds_router::{
+    CdOracle, OracleRequest, OracleWorkspace, Router, RouterConfig, SteinerMethod, SteinerOracle,
+};
+use cds_topo::{BifurcationConfig, EmbeddedTree, RoutedForest};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -513,4 +520,81 @@ fn smoke_golden_matches_the_smoke_preset() {
         ChipSpec { name: "smoke".into(), num_nets: 40, ..ChipSpec::small_test(44) }.generate();
     let out = Router::new(&chip, RouterConfig::default()).run();
     assert_eq!(out.checksum(), expect, "smoke golden is stale — rerun `cds-cli fixtures`");
+}
+
+/// The built-in CD oracle, counting the solves the router runs through
+/// it and the component delay queries among them that fell back to
+/// the tree-delay Dijkstra.
+struct FallbackCountingCd {
+    solves: Arc<AtomicUsize>,
+    fallbacks: Arc<AtomicUsize>,
+}
+
+impl SteinerOracle for FallbackCountingCd {
+    fn name(&self) -> &str {
+        "CD"
+    }
+    fn uses_budgets(&self) -> bool {
+        false
+    }
+    fn route(&self, req: &OracleRequest<'_>, ws: &mut OracleWorkspace) -> EmbeddedTree {
+        CdOracle::enhanced().route(req, ws)
+    }
+    fn route_into(
+        &self,
+        req: &OracleRequest<'_>,
+        ws: &mut OracleWorkspace,
+        forest: &mut RoutedForest,
+        slot: usize,
+    ) -> SolveStats {
+        let stats = CdOracle::enhanced().route_into(req, ws, forest, slot);
+        self.solves.fetch_add(1, Ordering::Relaxed);
+        self.fallbacks.fetch_add(stats.tree_fallbacks, Ordering::Relaxed);
+        stats
+    }
+}
+
+#[test]
+fn no_fixture_solve_falls_back_to_the_tree_delay_dijkstra() {
+    // The chips: routed through the counting oracle, each lands on the
+    // checksum the release sweep pins for CD at two iterations.
+    let pinned = [
+        ("converging.cdst", 0xbee5b3dda2d5696f_u64),
+        ("congested.cdst", 0x4e94d0c91b1e48fb),
+        ("fanout_heavy.cdst", 0xee0de5fc1782b646),
+    ];
+    for (name, want) in pinned {
+        let chip = parse_chip_doc(&fixture(name)).unwrap().build_chip();
+        let (solves, fallbacks) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let oracle =
+            FallbackCountingCd { solves: Arc::clone(&solves), fallbacks: Arc::clone(&fallbacks) };
+        let config = RouterConfig {
+            method: SteinerMethod::Cd,
+            threads: 1,
+            iterations: 2,
+            ..Default::default()
+        };
+        let out = Router::with_oracle(&chip, config, Box::new(oracle)).run();
+        assert_eq!(out.checksum(), want, "{name}: the counting oracle must route like CD");
+        assert_eq!(solves.load(Ordering::Relaxed), out.stats.total_rerouted(), "{name}");
+        assert_eq!(fallbacks.load(Ordering::Relaxed), 0, "{name}");
+    }
+    // The request streams, solve by solve through one session.
+    let mut session = Solver::new();
+    let mut solves = 0;
+    for name in ["stream_8x8.cdst", "stream_12x9.cdst", "stream_15x15.cdst"] {
+        let doc = parse_chip_doc(&fixture(name)).unwrap();
+        let grid = doc.grid.clone().build();
+        let (cost, delay) = (grid.graph().base_costs(), grid.graph().delays());
+        for rec in &doc.requests {
+            let root = grid.vertex(rec.root.0, rec.root.1, rec.root.2);
+            let sinks: Vec<u32> = rec.sinks.iter().map(|&(x, y, l)| grid.vertex(x, y, l)).collect();
+            let req = Request::new(grid.graph(), &cost, &delay, root, &sinks, &rec.weights)
+                .with_bif(BifurcationConfig::new(rec.dbif, rec.eta))
+                .with_seed(rec.seed);
+            assert_eq!(session.solve(&req).stats.tree_fallbacks, 0, "{name}");
+            solves += 1;
+        }
+    }
+    assert_eq!(solves, 120);
 }
