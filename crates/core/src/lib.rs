@@ -82,6 +82,156 @@ mod tests {
         Solver::solve_with(config, &mut SolverWorkspace::new(), req)
     }
 
+    /// A random small net: a uniform grid of 5–9 × 5–9 gcells on 2–3
+    /// layers whose every edge cost and delay is its base value times a
+    /// random factor of at least 1 (so a [`GridFutureCost`] of the grid
+    /// stays a lower bound), 2–7 sinks and a root on distinct vertices,
+    /// and sink weights that include zeros.
+    struct RandomNet {
+        grid: GridGraph,
+        cost: Vec<f64>,
+        delay: Vec<f64>,
+        root: cds_graph::VertexId,
+        sinks: Vec<cds_graph::VertexId>,
+        weights: Vec<f64>,
+    }
+
+    impl RandomNet {
+        fn new(seed: u64) -> Self {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (nx, ny, nl) =
+                (rng.gen_range(5..10u32), rng.gen_range(5..10u32), rng.gen_range(2..4u8));
+            let grid = GridSpec::uniform(nx, ny, nl).build();
+            let (c, d) = uniform_env(&grid);
+            let cost = c.iter().map(|x| x * (1.0 + 3.0 * rng.gen::<f64>())).collect();
+            let delay = d.iter().map(|x| x * (1.0 + 2.0 * rng.gen::<f64>())).collect();
+            let mut pins = Vec::new();
+            let k = rng.gen_range(2..8usize);
+            while pins.len() <= k {
+                let v =
+                    grid.vertex(rng.gen_range(0..nx), rng.gen_range(0..ny), rng.gen_range(0..nl));
+                if !pins.contains(&v) {
+                    pins.push(v);
+                }
+            }
+            let weights = (0..k)
+                .map(|_| if rng.gen_range(0..4u8) == 0 { 0.0 } else { 3.0 * rng.gen::<f64>() })
+                .collect();
+            RandomNet { grid, cost, delay, root: pins[0], sinks: pins.split_off(1), weights }
+        }
+
+        fn request(&self) -> Request<'_> {
+            Request::new(
+                self.grid.graph(),
+                &self.cost,
+                &self.delay,
+                self.root,
+                &self.sinks,
+                &self.weights,
+            )
+        }
+
+        /// The net's pins, the future cost's targets.
+        fn terminals(&self) -> Vec<cds_graph::VertexId> {
+            let mut t = self.sinks.clone();
+            t.push(self.root);
+            t
+        }
+    }
+
+    /// One FNV-1a step.
+    fn fnv(h: u64, x: u64) -> u64 {
+        (h ^ x).wrapping_mul(0x100000001b3)
+    }
+
+    /// Pins the tree edges and objective bits of 112 random small nets:
+    /// each of the eight option sets at `d_bif = 0` and at `d_bif > 0`,
+    /// seven nets apiece, half of them goal-oriented. The request-stream
+    /// goldens of `tests/determinism.rs` run only the default set; this
+    /// one also holds the §II base path, the discount-off §III-D
+    /// placement and §III-E's discount.
+    #[test]
+    fn every_option_set_matches_its_golden() {
+        let sets = all_option_sets();
+        let mut h = 0xcbf29ce484222325u64;
+        for i in 0..112u64 {
+            let net = RandomNet::new(i);
+            let dbif = if (i / 8) % 2 == 0 { 0.0 } else { 1.0 + (i % 5) as f64 };
+            let req = net
+                .request()
+                .with_bif(BifurcationConfig::new(dbif, 0.1 * (i % 6) as f64))
+                .with_seed(i);
+            let fc = GridFutureCost::new(&net.grid, &net.terminals());
+            let req = if (i / 16) % 2 == 0 { req } else { req.with_future(&fc) };
+            let r = solve(&sets[i as usize % 8], &req);
+            r.tree.validate(net.grid.graph(), net.sinks.len()).unwrap();
+            h = fnv(h, r.evaluation.total.to_bits());
+            for e in r.tree.edges() {
+                h = fnv(h, u64::from(e) + 1);
+            }
+        }
+        println!("option-set golden: {h:#018x}");
+        assert_eq!(
+            h, 0xcc70f6d7fd701c41,
+            "a solve under some option set drifted from the pinned golden"
+        );
+    }
+
+    /// §III-E acts through `d_bif` alone: its discount `η·d_bif·w(u)`
+    /// is zero at `d_bif = 0`, where the tree is bit for bit the one
+    /// without it. At `d_bif = 3` it makes both sinks connect to the
+    /// root on their own, where without it they merge first.
+    #[test]
+    fn root_encouragement_changes_the_tree_only_at_a_positive_d_bif() {
+        let grid = GridSpec::uniform(6, 6, 2).build();
+        let (c, d) = uniform_env(&grid);
+        let sinks = [grid.vertex(2, 3, 0), grid.vertex(5, 2, 0)];
+        let without = SessionConfig { encourage_root: false, ..SessionConfig::DEFAULT };
+        let merges = |r: &SolveResult| {
+            r.trace.iter().filter(|e| matches!(e, MergeEvent::SinkSink { .. })).count()
+        };
+        for dbif in [0.0, 3.0] {
+            let req = Request::new(grid.graph(), &c, &d, grid.vertex(4, 5, 0), &sinks, &[3.5, 4.0])
+                .with_bif(BifurcationConfig::new(dbif, 0.5))
+                .with_trace();
+            let (on, off) = (solve(&SessionConfig::DEFAULT, &req), solve(&without, &req));
+            let (e_on, e_off) =
+                (on.tree.edges().collect::<Vec<_>>(), off.tree.edges().collect::<Vec<_>>());
+            if dbif == 0.0 {
+                assert_eq!(e_on, e_off);
+                assert_eq!(on.evaluation.total.to_bits(), off.evaluation.total.to_bits());
+            } else {
+                assert_ne!(e_on, e_off, "§III-E is inert at d_bif = {dbif}");
+                assert_eq!((merges(&on), merges(&off)), (0, 1));
+            }
+        }
+    }
+
+    /// §III-D acts with discounting off. On this net its second merge
+    /// places the Steiner terminal at a vertex that is neither merged
+    /// terminal, which the §II endpoint rule never picks, and the tree
+    /// it leads to is cheaper than the one of the session seed's draw.
+    #[test]
+    fn steiner_reembedding_changes_the_tree_without_discounting() {
+        let grid = GridSpec::uniform(7, 6, 2).build();
+        let (c, d) = uniform_env(&grid);
+        let sinks = [grid.vertex(5, 1, 0), grid.vertex(4, 1, 0), grid.vertex(0, 1, 0)];
+        let req =
+            Request::new(grid.graph(), &c, &d, grid.vertex(6, 5, 0), &sinks, &[1.0, 1.0, 1.5])
+                .with_bif(BifurcationConfig::new(4.0, 0.5))
+                .with_trace();
+        let with = SessionConfig { discount_components: false, ..SessionConfig::DEFAULT };
+        let (on, off) =
+            (solve(&with, &req), solve(&SessionConfig { better_steiner: false, ..with }, &req));
+        let MergeEvent::SinkSink { u_vertex, v_vertex, steiner_vertex, .. } = on.trace[1] else {
+            panic!("the second merge joins two sink-side terminals");
+        };
+        assert!(steiner_vertex != u_vertex && steiner_vertex != v_vertex);
+        assert_ne!(on.tree.edges().collect::<Vec<_>>(), off.tree.edges().collect::<Vec<_>>());
+        assert!(on.evaluation.total < off.evaluation.total);
+    }
+
     #[test]
     fn single_sink_is_exact_shortest_path() {
         // With t = 1 the algorithm must return exactly the c + w·d
@@ -248,6 +398,28 @@ mod tests {
             r.tree.validate(grid.graph(), sinks.len()).unwrap();
             prop_assert!(r.evaluation.total.is_finite());
             prop_assert!(r.stats.merges >= sinks.len());
+        }
+
+        /// Under §III-A, §III-D's placement moves no bit: a restarted
+        /// search seeds every component vertex at exit prices that do not
+        /// depend on where the Steiner terminal sits, so with §III-D on
+        /// or off the trees and objectives are the same.
+        #[test]
+        fn steiner_placement_is_inert_under_discounting(
+            seed in 0u64..1 << 48,
+            dbif in 0.0f64..6.0,
+            eta in 0.0f64..=0.5,
+            toggles in 0u8..4,
+        ) {
+            let (encourage_root, goal_oriented) = (toggles & 1 != 0, toggles & 2 != 0);
+            let net = RandomNet::new(seed);
+            let fc = GridFutureCost::new(&net.grid, &net.terminals());
+            let req = net.request().with_bif(BifurcationConfig::new(dbif, eta)).with_seed(seed);
+            let req = if goal_oriented { req.with_future(&fc) } else { req };
+            let on = SessionConfig { encourage_root, ..SessionConfig::DEFAULT };
+            let (a, b) = (solve(&on, &req), solve(&SessionConfig { better_steiner: false, ..on }, &req));
+            prop_assert_eq!(a.tree.edges().collect::<Vec<_>>(), b.tree.edges().collect::<Vec<_>>());
+            prop_assert_eq!(a.evaluation.total.to_bits(), b.evaluation.total.to_bits());
         }
 
         /// Scaling `c`, `d` and `d_bif` together by `2^k` scales every
