@@ -141,7 +141,7 @@ fn prepare<G: SteinerGraph + ?Sized>(
     s.used.extend_from_slice(edges);
     s.used.sort_unstable();
     s.used.dedup();
-    s.adj.build(&s.used, graph);
+    s.adj.rebuild(&s.used, graph);
     // sinks per vertex: build the linked lists back to front so each
     // vertex's list traverses in increasing sink index
     for (i, &v) in sink_vertices.iter().enumerate().rev() {

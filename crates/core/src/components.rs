@@ -7,24 +7,24 @@
 //! discounting (tree edges are free to reuse) and the delay offsets of
 //! restarted searches.
 //!
-//! # Tree delays by one rooted walk
+//! # Exit prices by one rooted walk
 //!
 //! A restarted search prices every component vertex `y` as an exit,
-//! `Σ_q w(q)·d_tree(y, q)`, and reads the raw tree delays from its
-//! terminal position. [`Component::root_walk`] roots the component once
-//! per restart: one BFS from its first vertex over the component
-//! adjacency gives local ids in BFS order (so a parent's id is below
-//! its child's), each vertex's parent and parent-edge delay. Every
-//! delay row is then one linear *sweep* — up the source's path to the
-//! root, then one scan in BFS order — so the exit prices cost
-//! `O(|C|)` per positive-weight sink, with no heap. Each swept value is
-//! its source-side neighbor's value plus one edge delay, the very
-//! addition the Dijkstra performs on a tree, and the prices add `w·d`
-//! per sink in sink order: every value is the double the per-sink
-//! Dijkstra gave. A component that is not a tree — a search left its
-//! own component and re-entered it, closing a cycle — keeps that
-//! Dijkstra as its fallback. [`Component::downstream_weights_into`]
-//! rides the same walk, rooted at the net's root.
+//! `Σ_q w(q)·d_tree(y, q)`. [`Component::exit_prices_into`] roots the
+//! component once per restart: one BFS from its first vertex over the
+//! component adjacency gives local ids in BFS order (so a parent's id
+//! is below its child's), each vertex's parent and parent-edge delay.
+//! Each sink's delay row is then one linear *sweep* — up the sink's
+//! path to the root, then one scan in BFS order — so the exit prices
+//! cost `O(|C|)` per positive-weight sink, with no heap. Each swept
+//! value is its sink-side neighbor's value plus one edge delay, the
+//! very addition the Dijkstra performs on a tree, and the prices add
+//! `w·d` per sink in sink order: every value is the double the
+//! per-sink Dijkstra gave. A component that is not a tree — a search
+//! left its own component and re-entered it, closing a cycle — keeps
+//! that Dijkstra as its fallback.
+//! [`Component::downstream_weights_into`] rides the same walk, rooted
+//! at the net's root.
 //!
 //! # Storage
 //!
@@ -105,7 +105,7 @@ pub struct DenseAdjacency {
 impl DenseAdjacency {
     /// Rebuilds the adjacency for `edges` (duplicates allowed — each
     /// occurrence contributes an entry, like the map it replaced).
-    pub fn build<G: SteinerGraph + ?Sized>(&mut self, edges: &[EdgeId], g: &G) {
+    pub fn rebuild<G: SteinerGraph + ?Sized>(&mut self, edges: &[EdgeId], g: &G) {
         self.deg.clear();
         self.start.clear();
         self.end.clear();
@@ -169,7 +169,7 @@ const NO_PARENT_EDGE: EdgeId = EdgeId::MAX;
 /// slabs warm across merges and solves.
 #[derive(Debug, Default)]
 pub struct CompScratch {
-    /// Component adjacency (rebuilt per query).
+    /// Component adjacency (rebuilt per call).
     pub(crate) adj: DenseAdjacency,
     /// Local id of every vertex the last walk reached.
     local: VertexTable<u32>,
@@ -181,12 +181,8 @@ pub struct CompScratch {
     /// Edge to the parent (`NO_PARENT_EDGE` at the root).
     pe: Vec<EdgeId>,
     /// Delay of the edge to the parent (`0.0` at the root), filled by
-    /// [`Component::root_walk`].
+    /// [`Component::exit_prices_into`]'s walk.
     de: Vec<f64>,
-    /// Whether the last walk was a [`Component::root_walk`] that found
-    /// a tree the sweeps may price; `false` sends the delay queries to
-    /// the Dijkstra.
-    tree: bool,
     /// Per-local-vertex row: a sweep's tree delays from its source (the
     /// downstream pass keeps each vertex's own sink weight here).
     dist: Vec<f64>,
@@ -213,7 +209,6 @@ impl CompScratch {
     /// cycle, a parallel edge, a self-loop) makes the walk not a tree.
     /// A repeated copy of a tree edge's id is the same edge.
     fn walk(&mut self, root: VertexId) -> bool {
-        self.tree = false;
         self.local.clear();
         self.verts.clear();
         self.par.clear();
@@ -355,26 +350,20 @@ impl Component {
         }
     }
 
-    /// Roots the component at its first vertex for the delay queries
-    /// that follow ([`tree_delays_into`](Self::tree_delays_into),
-    /// [`exit_prices_into`](Self::exit_prices_into),
-    /// [`tree_delay`](Self::tree_delay)): builds the adjacency in
+    /// Roots the component at its first vertex: builds the adjacency in
     /// `scratch`, walks it, and reads each vertex's parent-edge delay.
     ///
-    /// Returns whether the queries will sweep the walk: the component
+    /// Returns whether the sweeps may price the walk: the component
     /// must be a tree (no cycle or parallel edge, see the walk), the
     /// walk must reach all its vertices, and every tree edge delay must
-    /// be finite and non-negative. Otherwise — a search that left its
-    /// own component and re-entered it closes a cycle — the queries
-    /// run the Dijkstra over the same adjacency instead, and the caller
-    /// counts a fallback. Either way the values are the same doubles.
-    pub fn root_walk<G: SteinerGraph + ?Sized>(
+    /// be finite and non-negative.
+    fn root_walk<G: SteinerGraph + ?Sized>(
         &self,
         g: &G,
         d: &[f64],
         scratch: &mut CompScratch,
     ) -> bool {
-        scratch.adj.build(&self.edges, g);
+        scratch.adj.rebuild(&self.edges, g);
         let mut tree = scratch.walk(self.vertices[0]);
         // the walk reaches only endpoints of edges, all of them
         // component vertices, so a full count is the whole vertex set
@@ -391,66 +380,12 @@ impl Component {
         let n = scratch.verts.len();
         scratch.dist.resize(n, 0.0);
         scratch.on_path.resize(n, false);
-        scratch.tree = tree;
         tree
-    }
-
-    /// Appends the raw tree delay (`Σ d(e)`) from `from` to every
-    /// component vertex to `out`, as `(vertex, delay)` pairs in no
-    /// particular order (vertices unreachable through the component —
-    /// possible only by construction error — are left out). Reads the
-    /// immediately preceding [`root_walk`](Self::root_walk) of this
-    /// component.
-    pub fn tree_delays_into(
-        &self,
-        d: &[f64],
-        from: VertexId,
-        scratch: &mut CompScratch,
-        out: &mut Vec<(VertexId, f64)>,
-    ) {
-        if scratch.tree {
-            // a source outside the walk is outside the component, and
-            // reaches no component vertex
-            if let Some(s) = scratch.local.get(from) {
-                scratch.sweep(s as usize);
-                out.extend(scratch.verts.iter().copied().zip(scratch.dist.iter().copied()));
-            }
-        } else {
-            tree_delays_over(&scratch.adj, d, from, &mut scratch.delay, &mut scratch.heap);
-            let delay = &scratch.delay;
-            out.extend(self.vertices.iter().filter_map(|&v| delay.get(v).map(|raw| (v, raw))));
-        }
-    }
-
-    /// The raw tree delay from `from` to `to` (`0.0` if `to` is not
-    /// reachable through the component). Reads the immediately
-    /// preceding [`root_walk`](Self::root_walk) of this component.
-    pub fn tree_delay(
-        &self,
-        d: &[f64],
-        from: VertexId,
-        to: VertexId,
-        scratch: &mut CompScratch,
-    ) -> f64 {
-        if scratch.tree {
-            match (scratch.local.get(from), scratch.local.get(to)) {
-                (Some(s), Some(t)) => {
-                    scratch.sweep(s as usize);
-                    scratch.dist[t as usize]
-                }
-                _ => 0.0,
-            }
-        } else {
-            tree_delays_over(&scratch.adj, d, from, &mut scratch.delay, &mut scratch.heap);
-            scratch.delay.get_or(to, 0.0)
-        }
     }
 
     /// Appends, for every component vertex `y`, the *weighted delay to
     /// the component's sinks* through the tree — `Σ_q w(q)·d_tree(y, q)`
-    /// — to `out`, as `(y, price)` pairs in no particular order. Reads
-    /// the immediately preceding [`root_walk`](Self::root_walk) of this
-    /// component.
+    /// — to `out`, as `(y, price)` pairs in no particular order.
     ///
     /// This is the exact future delay cost the component's sinks incur
     /// if the next connection (ultimately: the root path) enters at `y`
@@ -458,17 +393,24 @@ impl Component {
     /// For a singleton sink component it is `w·d_tree(y, sink)`, the
     /// paper's original seeding.
     ///
-    /// On a tree it costs one sweep per sink with a positive weight,
-    /// `O(|C|)` each; each price adds `w·d` per sink in sink order,
-    /// exactly as the per-sink Dijkstra form (the fallback) does.
-    pub fn exit_prices_into(
+    /// The call roots the component once (see the module docs); on a
+    /// tree it then costs one sweep per sink with a positive weight,
+    /// `O(|C|)` each, and each price adds `w·d` per sink in sink order,
+    /// exactly as the per-sink Dijkstra form does. Returns whether the
+    /// component was such a tree: `false` means a search left its own
+    /// component and re-entered it, and the prices came from that
+    /// Dijkstra over the same adjacency instead — the same doubles —
+    /// which the caller counts as a fallback.
+    pub fn exit_prices_into<G: SteinerGraph + ?Sized>(
         &self,
+        g: &G,
         d: &[f64],
         scratch: &mut CompScratch,
         out: &mut Vec<(VertexId, f64)>,
-    ) {
+    ) -> bool {
+        let tree = self.root_walk(g, d, scratch);
         scratch.acc.clear();
-        if scratch.tree {
+        if tree {
             scratch.acc.resize(scratch.verts.len(), 0.0);
             for &(q, w) in &self.sinks {
                 if w == 0.0 {
@@ -497,6 +439,7 @@ impl Component {
             }
             out.extend(self.vertices.iter().copied().zip(scratch.acc.iter().copied()));
         }
+        tree
     }
 
     /// Total sink weight *downstream* of each component vertex when the
@@ -518,7 +461,7 @@ impl Component {
         scratch: &mut CompScratch,
     ) {
         down.clear();
-        scratch.adj.build(&self.edges, g);
+        scratch.adj.rebuild(&self.edges, g);
         scratch.walk(root);
         let n = scratch.verts.len();
         // each vertex's own sink weight, and the sum over its children
@@ -543,9 +486,8 @@ impl Component {
 }
 
 /// The tree-delay Dijkstra over a prebuilt component adjacency: the
-/// fallback of the delay queries when [`Component::root_walk`] finds no
-/// tree to sweep (a cycle or parallel edges, where paths of differing
-/// delay compete). On the fixture and bench documents no component
+/// exit prices' fallback when the component is no tree to sweep (a
+/// cycle or parallel edges, where paths of differing delay compete). On the fixture and bench documents no component
 /// takes it; `SolveStats::tree_fallbacks` counts the ones that do.
 fn tree_delays_over(
     adj: &DenseAdjacency,
@@ -586,26 +528,11 @@ mod tests {
         pairs.into_iter().map(|(v, x)| (v, x.to_bits())).collect()
     }
 
-    /// The Dijkstra's delays from `from` to every reachable component
-    /// vertex.
-    fn reference_delays(
-        c: &Component,
-        g: &Graph,
-        d: &[f64],
-        from: VertexId,
-    ) -> Vec<(VertexId, f64)> {
-        let mut adj = DenseAdjacency::default();
-        adj.build(&c.edges, g);
-        let (mut delay, mut heap) = (VertexTable::new(), BinaryHeap::new());
-        tree_delays_over(&adj, d, from, &mut delay, &mut heap);
-        c.vertices().iter().filter_map(|&v| delay.get(v).map(|x| (v, x))).collect()
-    }
-
     /// The exit prices in their per-sink Dijkstra form: one Dijkstra
     /// per positive-weight sink, `w·d` added into a vertex table.
     fn reference_exit_prices(c: &Component, g: &Graph, d: &[f64]) -> Vec<(VertexId, f64)> {
         let mut adj = DenseAdjacency::default();
-        adj.build(&c.edges, g);
+        adj.rebuild(&c.edges, g);
         let (mut delay, mut heap) = (VertexTable::new(), BinaryHeap::new());
         let mut exit = VertexTable::new();
         for &(q, w) in &c.sinks {
@@ -624,7 +551,7 @@ mod tests {
     /// reverse-order accumulation.
     fn reference_downstream(c: &Component, g: &Graph, root: VertexId) -> Vec<(VertexId, f64)> {
         let mut adj = DenseAdjacency::default();
-        adj.build(&c.edges, g);
+        adj.rebuild(&c.edges, g);
         let mut weight_at = VertexTable::new();
         for &(q, w) in &c.sinks {
             weight_at.add(q, 0.0, w);
@@ -708,10 +635,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// On a tree the sweeps reproduce the Dijkstra bit for bit: the
-        /// delay row from every vertex, every pairwise delay, the exit
-        /// prices, and the downstream weights from every root. With a
-        /// closed cycle the walk reports no tree and the queries still
-        /// return the Dijkstra's values.
+        /// exit prices, the delay row from every vertex (the exit prices
+        /// of that vertex as the one sink, of weight 1), and the
+        /// downstream weights from every root. With a closed cycle the
+        /// walk reports no tree and the prices still are the Dijkstra's.
         #[test]
         fn sweeps_match_the_dijkstra_bit_for_bit(
             seed in 0u64..1 << 48,
@@ -720,20 +647,16 @@ mod tests {
         ) {
             let close_cycle = cycle_draw == 0;
             let (g, d, comp) = random_component(seed, n, close_cycle);
+            let tree = !(close_cycle && n >= 2);
             let mut s = CompScratch::default();
-            let tree = comp.root_walk(&g, &d, &mut s);
-            prop_assert_eq!(tree, !(close_cycle && n >= 2));
             let mut got = Vec::new();
-            comp.exit_prices_into(&d, &mut s, &mut got);
+            prop_assert_eq!(comp.exit_prices_into(&g, &d, &mut s, &mut got), tree);
             prop_assert_eq!(bits(got), bits(reference_exit_prices(&comp, &g, &d)));
             for &from in comp.vertices() {
-                let want = reference_delays(&comp, &g, &d, from);
+                let single = Component { sinks: vec![(from, 1.0)], ..comp.clone() };
                 let mut got = Vec::new();
-                comp.tree_delays_into(&d, from, &mut s, &mut got);
-                prop_assert_eq!(bits(got), bits(want.clone()));
-                for &(to, x) in &want {
-                    prop_assert_eq!(comp.tree_delay(&d, from, to, &mut s).to_bits(), x.to_bits());
-                }
+                prop_assert_eq!(single.exit_prices_into(&g, &d, &mut s, &mut got), tree);
+                prop_assert_eq!(bits(got), bits(reference_exit_prices(&single, &g, &d)));
             }
             for &root in comp.vertices() {
                 let mut down = VertexTable::new();
@@ -759,27 +682,26 @@ mod tests {
         let d = [3.0, 2.5, 0.25, 0.5, 1.0];
         let mut s = CompScratch::default();
         let mut fallbacks = 0;
-        // what a restarted search at `from` reads: the raw delays and
-        // the exit prices, after one walk
-        let mut restart = |c: &Component, from: VertexId, s: &mut CompScratch| {
-            fallbacks += usize::from(!c.root_walk(&g, &d, s));
-            let (mut raw, mut exit) = (Vec::new(), Vec::new());
-            c.tree_delays_into(&d, from, s, &mut raw);
-            c.exit_prices_into(&d, s, &mut exit);
-            assert_eq!(bits(raw), bits(reference_delays(c, &g, &d, from)));
+        // what a restarted search reads: the exit prices
+        let mut restart = |c: &Component, s: &mut CompScratch| {
+            let mut exit = Vec::new();
+            fallbacks += usize::from(!c.exit_prices_into(&g, &d, s, &mut exit));
             assert_eq!(bits(exit), bits(reference_exit_prices(c, &g, &d)));
         };
         let mut c = Component::singleton(0, vec![(0, 1.0)]);
         c.absorb(&mut Component::singleton(2, vec![(2, 2.0)]), &[e01, e12], &g, &mut s);
-        restart(&c, 1, &mut s);
+        restart(&c, &mut s);
         c.absorb(&mut Component::singleton(4, vec![(4, 1.0)]), &[e23, e30, e04], &g, &mut s);
-        restart(&c, 0, &mut s);
+        restart(&c, &mut s);
         assert_eq!(fallbacks, 1, "only the component with the cycle falls back");
-        // the cycle's short side wins: 2 reaches 0 over 3 (0.25 + 0.5),
-        // not over 1 (2.5 + 3.0)
-        assert!(!c.root_walk(&g, &d, &mut s));
-        assert_eq!(c.tree_delay(&d, 2, 0, &mut s), 0.75);
-        assert_eq!(c.tree_delay(&d, 2, 4, &mut s), 1.75);
+        // the cycle's short side wins: priced from a lone sink at 2, the
+        // exit at 0 is reached over 3 (0.25 + 0.5), not over 1 (2.5 +
+        // 3.0), and the one at 4 one edge further
+        let from_2 = Component { sinks: vec![(2, 1.0)], ..c.clone() };
+        let mut exit = Vec::new();
+        assert!(!from_2.exit_prices_into(&g, &d, &mut s, &mut exit));
+        exit.sort_unstable_by_key(|&(v, _)| v);
+        assert_eq!(exit, vec![(0, 0.75), (1, 2.5), (2, 0.0), (3, 0.25), (4, 1.75)]);
     }
 
     #[test]
@@ -818,12 +740,11 @@ mod tests {
         assert!(c3.vertices().is_empty());
         assert_eq!(c0.vertices(), &[0, 3, 1, 2]);
         assert_eq!(c0.edges.len(), 3);
-        assert!(c0.root_walk(&g, &d, &mut s), "a path is a tree");
-        let mut delays = Vec::new();
-        c0.tree_delays_into(&d, 0, &mut s, &mut delays);
-        delays.sort_unstable_by_key(|&(v, _)| v);
-        assert_eq!(delays, vec![(0, 0.0), (1, 1.0), (2, 3.0), (3, 7.0)]);
-        assert_eq!(c0.tree_delay(&d, 3, 1, &mut s), 6.0);
+        let mut exit = Vec::new();
+        assert!(c0.exit_prices_into(&g, &d, &mut s, &mut exit), "a path is a tree");
+        exit.sort_unstable_by_key(|&(v, _)| v);
+        // 1·d(y, 0) + 2·d(y, 3) with d(0, 3) = 7
+        assert_eq!(exit, vec![(0, 14.0), (1, 13.0), (2, 11.0), (3, 7.0)]);
     }
 
     #[test]
@@ -876,9 +797,8 @@ mod tests {
         let mut comp = Component::singleton(0, vec![(0, 1.0)]);
         let mut s = CompScratch::default();
         comp.absorb(&mut Component::singleton(3, vec![(3, 3.0)]), &[0, 1, 2], &g, &mut s);
-        assert!(comp.root_walk(&g, &d, &mut s));
         let mut exit = Vec::new();
-        comp.exit_prices_into(&d, &mut s, &mut exit);
+        assert!(comp.exit_prices_into(&g, &d, &mut s, &mut exit));
         exit.sort_unstable_by_key(|&(v, _)| v);
         // exit at 0: 1*0 + 3*3 = 9; at 3: 1*3 + 3*0 = 3; at 2: 1*2 + 3*1 = 5
         assert_eq!(exit, vec![(0, 9.0), (1, 7.0), (2, 5.0), (3, 3.0)]);
@@ -910,7 +830,7 @@ mod tests {
         let e2 = b.add_edge(0, 1, EdgeAttrs::wire(2.0, 2.0)); // parallel
         let g = b.build();
         let mut adj = DenseAdjacency::default();
-        adj.build(&[e1, e0, e2], &g);
+        adj.rebuild(&[e1, e0, e2], &g);
         // per-vertex order follows the input edge list, not edge ids
         assert_eq!(adj.neighbors(0), &[(2, e1), (1, e0), (1, e2)]);
         assert_eq!(adj.neighbors(1), &[(0, e0), (0, e2)]);

@@ -258,23 +258,17 @@ pub struct Search {
     pub terminal: usize,
     /// Delay weight `w(u)` of the terminal.
     pub weight: f64,
-    /// The terminal's position `π(u)`.
-    pub origin: VertexId,
     /// Per-vertex labels (distance, predecessor edge), paged into the
-    /// workspace's [`LabelStore`].
+    /// workspace's [`LabelStore`]; the seeds are the labels without a
+    /// parent edge.
     pub labels: LabelSlab,
-    /// The seeds, sorted by vertex, each with its raw tree delay
-    /// (`Σ d`, unweighted) from `origin` — needed by the Steiner
-    /// re-embedding (§III-D). Seeds are the component's vertices under
-    /// §III-A discounting, else just the origin.
-    pub seed_raw: Vec<(VertexId, f64)>,
 }
 
 impl Search {
     /// A fresh search with no labels, drawing its epoch from `store`.
-    pub fn new(store: &mut LabelStore, terminal: usize, weight: f64, origin: VertexId) -> Self {
+    pub fn new(store: &mut LabelStore, terminal: usize, weight: f64) -> Self {
         let mut s = Search::default();
-        s.reset(store, terminal, weight, origin);
+        s.reset(store, terminal, weight);
         s
     }
 
@@ -284,25 +278,11 @@ impl Search {
     /// The search must hold no pages (a retired search gave them back
     /// through [`LabelStore::release`]); it draws a fresh epoch, so
     /// whatever records the pages it takes still hold read as unset.
-    pub fn reset(
-        &mut self,
-        store: &mut LabelStore,
-        terminal: usize,
-        weight: f64,
-        origin: VertexId,
-    ) {
+    pub fn reset(&mut self, store: &mut LabelStore, terminal: usize, weight: f64) {
         debug_assert_eq!(self.labels.pages_held(), 0, "a retired search gave its pages back");
         self.terminal = terminal;
         self.weight = weight;
-        self.origin = origin;
         self.labels.epoch = store.next_epoch();
-        self.seed_raw.clear();
-    }
-
-    /// Raw tree delay from `origin` to `seed` (0 for a vertex that is
-    /// not a seed), by binary search of the sorted seed list.
-    pub fn seed_raw_delay(&self, seed: VertexId) -> f64 {
-        self.seed_raw.binary_search_by_key(&seed, |&(v, _)| v).map_or(0.0, |i| self.seed_raw[i].1)
     }
 
     /// Walks parents from `to` back to a seed: the edges in seed→`to`
@@ -369,7 +349,7 @@ mod tests {
         assert_eq!(decoy, 0);
         let g = b.build();
         let mut store = LabelStore::new();
-        let mut s = Search::new(&mut store, 0, 1.0, 7);
+        let mut s = Search::new(&mut store, 0, 1.0);
         s.labels.set(&mut store, 7, 0.0, NO_PARENT);
         s.labels.set(&mut store, 8, 1.0, e78);
         s.labels.set(&mut store, 9, 2.0, e89);
@@ -386,18 +366,14 @@ mod tests {
     #[test]
     fn reset_clears_labels_in_place() {
         let mut store = LabelStore::new();
-        let mut s = Search::new(&mut store, 0, 1.0, 7);
+        let mut s = Search::new(&mut store, 0, 1.0);
         s.labels.set(&mut store, 7, 0.0, NO_PARENT);
         s.labels.settle(&mut store, 7);
-        s.seed_raw.extend([(3, 0.25), (7, 0.5)]);
-        assert_eq!(s.seed_raw_delay(7), 0.5);
-        assert_eq!(s.seed_raw_delay(5), 0.0, "not a seed");
         store.release(&mut s.labels);
-        s.reset(&mut store, 3, 2.0, 9);
+        s.reset(&mut store, 3, 2.0);
         assert_eq!(s.terminal, 3);
         assert!(!s.labels.contains(&store, 7));
         assert_eq!(s.labels.queued(), 0);
-        assert_eq!(s.seed_raw_delay(7), 0.0);
         s.labels.set(&mut store, 7, 1.0, NO_PARENT);
         assert_eq!(store.pages(), 1, "the released page is taken again, not a new one");
     }
@@ -405,7 +381,7 @@ mod tests {
     #[test]
     fn an_update_is_not_a_second_queued_label() {
         let mut store = LabelStore::new();
-        let mut s = Search::new(&mut store, 0, 1.0, 0);
+        let mut s = Search::new(&mut store, 0, 1.0);
         s.labels.set(&mut store, 4, 3.0, 11);
         s.labels.set(&mut store, 4, 2.0, 12); // an improvement
         assert!(s.labels.is_queued(&store, 4));
@@ -417,7 +393,7 @@ mod tests {
     #[test]
     fn a_settled_label_is_never_live() {
         let mut store = LabelStore::new();
-        let mut s = Search::new(&mut store, 0, 1.0, 2);
+        let mut s = Search::new(&mut store, 0, 1.0);
         s.labels.set(&mut store, 2, 1.5, NO_PARENT);
         assert!(s.labels.is_queued(&store, 2));
         assert_eq!(s.labels.settle(&mut store, 2), 1.5);
@@ -431,14 +407,14 @@ mod tests {
     #[test]
     fn a_recycled_page_never_shows_another_searches_label() {
         let mut store = LabelStore::new();
-        let mut a = Search::new(&mut store, 0, 1.0, 5);
+        let mut a = Search::new(&mut store, 0, 1.0);
         a.labels.set(&mut store, 5, 1.0, NO_PARENT);
         a.labels.set(&mut store, 6, 2.0, 3);
         a.labels.settle(&mut store, 5);
         store.release(&mut a.labels);
         assert_eq!(store.free_pages(), 1);
         // b takes a's page back, stale records and all
-        let mut b = Search::new(&mut store, 1, 1.0, 6);
+        let mut b = Search::new(&mut store, 1, 1.0);
         b.labels.set(&mut store, 7, 4.0, NO_PARENT);
         assert_eq!((store.pages(), store.free_pages()), (1, 0), "the page was recycled");
         for v in [5, 6] {
@@ -448,7 +424,7 @@ mod tests {
         assert_eq!(b.labels.get(&store, 7).map(|l| l.dist), Some(4.0));
         assert_eq!(b.labels.queued(), 1, "stale records are not counted as queued");
         // and a, recycled in turn, sees neither its old labels nor b's
-        a.reset(&mut store, 2, 1.0, 0);
+        a.reset(&mut store, 2, 1.0);
         for v in [5, 6, 7] {
             assert!(!a.labels.contains(&store, v));
         }
@@ -457,8 +433,8 @@ mod tests {
     #[test]
     fn release_returns_every_page() {
         let mut store = LabelStore::new();
-        let mut a = Search::new(&mut store, 0, 1.0, 0);
-        let mut b = Search::new(&mut store, 1, 1.0, 0);
+        let mut a = Search::new(&mut store, 0, 1.0);
+        let mut b = Search::new(&mut store, 1, 1.0);
         for v in [0, 1, 130, 700] {
             a.labels.set(&mut store, v, 1.0, NO_PARENT);
         }
@@ -476,7 +452,7 @@ mod tests {
     #[test]
     fn the_epoch_restart_between_solves_zeroes_stamps() {
         let mut store = LabelStore::new();
-        let mut s = Search::new(&mut store, 0, 1.0, 0); // epoch 1
+        let mut s = Search::new(&mut store, 0, 1.0); // epoch 1
         s.labels.set(&mut store, 3, 1.0, NO_PARENT);
         s.labels.settle(&mut store, 3);
         store.release(&mut s.labels);
@@ -485,7 +461,7 @@ mod tests {
         assert_eq!(store.epoch, 0, "the counter restarted");
         // the next search draws epoch 1 again and takes the same page:
         // without the wipe, the old record would read as its settled label
-        s.reset(&mut store, 0, 1.0, 0);
+        s.reset(&mut store, 0, 1.0);
         assert_eq!(s.labels.epoch, 1);
         s.labels.set(&mut store, 4, 1.0, NO_PARENT);
         assert_eq!(store.pages(), 1, "the old page was taken again");
@@ -500,7 +476,7 @@ mod tests {
     #[test]
     fn the_directory_grows_past_the_first_window() {
         let mut store = LabelStore::new();
-        let mut s = Search::new(&mut store, 0, 1.0, 0);
+        let mut s = Search::new(&mut store, 0, 1.0);
         s.labels.set(&mut store, 10, 1.0, NO_PARENT);
         let first = s.labels.dir.len();
         assert_eq!(first, 1, "the directory covers only the written range");

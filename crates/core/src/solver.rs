@@ -100,8 +100,8 @@ pub struct SolveStats {
     /// Bucket-array slots scanned by the Dial queue — the `C/Δ` term
     /// of Dial's complexity.
     pub bucket_scans: u64,
-    /// Component delay queries (restart exit prices, §III-D's `v_raw`)
-    /// that found no tree to sweep and ran the Dijkstra instead — a
+    /// Restarted searches whose component was no tree to sweep, so its
+    /// exit prices came from the per-sink Dijkstra instead — a
     /// component whose own search left and re-entered it. Not part of
     /// the route JSON or checkpoints.
     pub tree_fallbacks: usize,
@@ -273,7 +273,7 @@ pub struct SolverWorkspace {
     search_pool: Vec<Search>,
     /// Retired [`Component`] buffers, cleared, awaiting reuse.
     component_pool: Vec<Component>,
-    /// Merge-time component tables (adjacency, tree delays, exit
+    /// Merge-time component tables (adjacency, rooted walk, exit
     /// prices, downstream accumulation) — the arena that replaced the
     /// per-merge hash maps.
     comp_scratch: CompScratch,
@@ -385,13 +385,13 @@ impl SolverWorkspace {
     }
 
     /// A cleared search from the pool (or a fresh one).
-    fn alloc_search(&mut self, terminal: TerminalId, weight: f64, origin: VertexId) -> Search {
+    fn alloc_search(&mut self, terminal: TerminalId, weight: f64) -> Search {
         match self.search_pool.pop() {
             Some(mut s) => {
-                s.reset(&mut self.labels, terminal, weight, origin);
+                s.reset(&mut self.labels, terminal, weight);
                 s
             }
-            None => Search::new(&mut self.labels, terminal, weight, origin),
+            None => Search::new(&mut self.labels, terminal, weight),
         }
     }
 
@@ -529,7 +529,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
             let t = &self.ws.terminals[slot];
             (t.weight, t.vertex)
         };
-        let mut search = self.ws.alloc_search(slot, t_weight, t_vertex);
+        let mut search = self.ws.alloc_search(slot, t_weight);
         // search ids are dense per solve: the next free `searches` slot
         let sid = self.ws.searches.len() as u32;
         // Seeds (§III-A): every component vertex is a possible exit; its
@@ -548,28 +548,20 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
             // INVARIANT: rep is a DSU representative with an active search, and components live at representatives until extracted by a merge.
             let comp = self.ws.terminals[rep].comp.as_ref().expect("live component");
             if self.config.discount_components && !comp.edges.is_empty() {
-                // root the component once; the raw tree delays from the
-                // terminal position (for §III-D) and the exit prices are
-                // sweeps over that one walk
-                if !comp.root_walk(self.req.graph, self.req.delay, &mut cs) {
+                if !comp.exit_prices_into(self.req.graph, self.req.delay, &mut cs, &mut seeds) {
                     self.stats.tree_fallbacks += 1;
                 }
-                comp.tree_delays_into(self.req.delay, t_vertex, &mut cs, &mut search.seed_raw);
-                comp.exit_prices_into(self.req.delay, &mut cs, &mut seeds);
             } else {
                 // a single-vertex component seeds only its own position
                 // at zero offset — same result as the general path,
-                // without building the tree-delay tables (the t initial
-                // searches of every solve take this branch)
-                search.seed_raw.push((t_vertex, 0.0));
+                // without rooting the component (the t initial searches
+                // of every solve take this branch)
                 seeds.push((t_vertex, 0.0));
             }
             self.ws.comp_scratch = cs;
         }
-        // sorted for determinism, and for the binary search of
-        // `Search::seed_raw_delay`
+        // sorted for determinism
         seeds.sort_unstable_by_key(|&(v, _)| v);
-        search.seed_raw.sort_unstable_by_key(|&(v, _)| v);
         // component vertices are deduplicated, so every seed is a fresh label
         for &(v, offset) in &seeds {
             let key = offset + self.req.future.map_or(0.0, |f| f.bound_nearest(v, w));
@@ -791,9 +783,6 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         let mut path_vertices = std::mem::take(&mut self.ws.pathv_scratch);
         let seed = search.extract_path_into(&self.ws.labels, self.req.graph, cand.via, &mut path);
         search.path_vertices_into(self.req.graph, &path, seed, &mut path_vertices);
-        // raw (unweighted) tree delay from π(u) to the path's seed — the
-        // §III-D re-embedding needs it after the search is retired
-        let seed_raw_u = search.seed_raw_delay(seed);
         let target_rep = self.ws.dsu.find(cand.target);
         let l_value = cand.g + self.b_value(u, target_rep, cand.via);
         let iteration = self.stats.merges;
@@ -840,8 +829,7 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
             let v_slot = target_rep;
             let w_u = self.ws.terminals[u].weight;
             let w_v = self.ws.terminals[v_slot].weight;
-            let pos =
-                self.choose_steiner_position(u, v_slot, &path, &path_vertices, seed_raw_u, &comp_t);
+            let pos = self.choose_steiner_position(u, v_slot, &path, &path_vertices);
             let s = self.ws.dsu.push();
             let mut comp = comp_u;
             comp.absorb(&mut comp_t, &path, self.req.graph, &mut self.ws.comp_scratch);
@@ -885,8 +873,6 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         v: TerminalId,
         path: &[EdgeId],
         path_vertices: &[VertexId],
-        seed_raw_u: f64,
-        comp_v: &Component,
     ) -> VertexId {
         let (w_u, w_v) = (self.ws.terminals[u].weight, self.ws.terminals[v].weight);
         if !self.config.better_steiner {
@@ -902,20 +888,6 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         // §III-D: minimize  ĉ(Q) + (w_u+w_v)·d̂(Q) + Σ_y w_y·d(P[y, s])
         // over path positions s, with Q (the future s→root path)
         // estimated by future costs.
-        let usearch_raw = seed_raw_u;
-        // raw delay from π(v) to the join vertex inside v's component
-        // INVARIANT: reconstructed paths contain at least the meeting vertex, so last() is always present.
-        let join = *path_vertices.last().expect("path has vertices");
-        let v_raw = {
-            let mut cs = std::mem::take(&mut self.ws.comp_scratch);
-            let v_vertex = self.ws.terminals[v].vertex;
-            if !comp_v.root_walk(self.req.graph, self.req.delay, &mut cs) {
-                self.stats.tree_fallbacks += 1;
-            }
-            let raw = comp_v.tree_delay(self.req.delay, v_vertex, join, &mut cs);
-            self.ws.comp_scratch = cs;
-            raw
-        };
         // cumulative raw d along the path from the seed side
         let mut cum = std::mem::take(&mut self.ws.cum_scratch);
         cum.clear();
@@ -931,10 +903,12 @@ impl<'w, 'a, 'r, G: SteinerGraph + ?Sized> State<'w, 'a, 'r, G> {
         let root = self.req.root;
         let mut best = (f64::INFINITY, path_vertices[0]);
         for (i, &p) in path_vertices.iter().enumerate() {
-            let d_u = usearch_raw + cum[i];
-            let d_v = v_raw + (total - cum[i]);
+            // d(P[y, s]) is y's tree delay to its path end plus the path
+            // delay on to s; the tree parts, `w_u·d(π(u), seed)` and
+            // `w_v·d(π(v), join)`, are one constant for every s on the
+            // path, so the ranking leaves them out
             let q_est = fc.map_or(0.0, |f| f.bound_to(p, root, w_sum));
-            let score = q_est + w_u * d_u + w_v * d_v;
+            let score = q_est + w_u * cum[i] + w_v * (total - cum[i]);
             if score < best.0 {
                 best = (score, p);
             }

@@ -148,13 +148,6 @@ impl Graph {
         self.attrs.iter().map(|a| a.delay).collect()
     }
 
-    /// [`delays`](Self::delays) into a caller-owned buffer (cleared
-    /// first), for per-net loops that keep one warm buffer per worker.
-    pub fn delays_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.attrs.iter().map(|a| a.delay));
-    }
-
     /// Overwrites the routing capacity of `e` in place. Only the
     /// attribute changes — the CSR structure is untouched — so the
     /// streaming document reader can apply `ecap` overrides to an
@@ -188,13 +181,6 @@ impl GraphBuilder {
     /// Starts a graph with `n` vertices and no edges.
     pub fn new(n: usize) -> Self {
         GraphBuilder { n, ends: Vec::new(), attrs: Vec::new() }
-    }
-
-    /// Adds `count` fresh vertices, returning the id of the first.
-    pub fn add_vertices(&mut self, count: usize) -> VertexId {
-        let first = self.n as VertexId;
-        self.n += count;
-        first
     }
 
     /// Adds an undirected edge and returns its id.

@@ -473,11 +473,6 @@ impl RoutedForest {
         self.trees.len() - 1
     }
 
-    /// Whether `slot` currently holds a tree.
-    pub fn has_tree(&self, slot: usize) -> bool {
-        self.trees.get(slot).is_some_and(Option::is_some)
-    }
-
     /// Drops every tree and every slot, keeping all slab capacity (the
     /// reuse path of per-iteration worker scratch forests).
     pub fn clear(&mut self) {
@@ -546,13 +541,6 @@ impl RoutedForest {
     /// The recorded via-count summary of `slot` (0 if empty).
     pub fn vias(&self, slot: usize) -> usize {
         self.trees[slot].as_ref().map_or(0, |m| m.vias as usize)
-    }
-
-    /// All edges of the tree in `slot`, one contiguous slab range in
-    /// node order (identical enumeration order to `EmbeddedTree::edges`).
-    pub fn tree_edges(&self, slot: usize) -> &[EdgeId] {
-        let m = self.meta(slot);
-        &self.slabs.path_edges[m.path_first as usize..(m.path_first + m.path_total) as usize]
     }
 
     // ------------------------------------------------------- building

@@ -202,18 +202,6 @@ impl Topology {
         }
     }
 
-    /// L1 path length from the root to every node.
-    pub fn depths(&self) -> Vec<i64> {
-        let mut depth = vec![0i64; self.num_nodes()];
-        for &v in &self.dfs_order() {
-            if let Some(p) = self.parent(v) {
-                depth[v as usize] =
-                    depth[p as usize] + self.pos[v as usize].l1(self.pos[p as usize]);
-            }
-        }
-        depth
-    }
-
     /// Total sink delay weight inside each node's subtree. `weights` is
     /// indexed by sink index.
     pub fn subtree_weights(&self, weights: &[f64]) -> Vec<f64> {
@@ -291,25 +279,6 @@ impl Topology {
     ) -> Vec<(usize, f64)> {
         let delay = self.node_delays(weights, delay_per_unit, bif);
         self.sink_nodes().into_iter().map(|(s, v)| (s, delay[v as usize])).collect()
-    }
-
-    /// Plane proxy of the cost-distance objective: `cost_per_unit × total
-    /// length + Σ_t w(t)·delay(t)`. The baselines minimize this before
-    /// embedding.
-    pub fn plane_objective(
-        &self,
-        weights: &[f64],
-        cost_per_unit: f64,
-        delay_per_unit: f64,
-        bif: &BifurcationConfig,
-    ) -> f64 {
-        let wl = self.length() as f64 * cost_per_unit;
-        let delay_cost: f64 = self
-            .sink_delays(weights, delay_per_unit, bif)
-            .iter()
-            .map(|&(s, d)| weights[s] * d)
-            .sum();
-        wl + delay_cost
     }
 
     /// Returns an equivalent *bifurcation-compatible* tree: the root and
