@@ -487,8 +487,9 @@ impl Component {
 
 /// The tree-delay Dijkstra over a prebuilt component adjacency: the
 /// exit prices' fallback when the component is no tree to sweep (a
-/// cycle or parallel edges, where paths of differing delay compete). On the fixture and bench documents no component
-/// takes it; `SolveStats::tree_fallbacks` counts the ones that do.
+/// cycle or parallel edges, where paths of differing delay compete).
+/// On the fixture and bench documents no component takes it;
+/// `SolveStats::tree_fallbacks` counts the ones that do.
 fn tree_delays_over(
     adj: &DenseAdjacency,
     d: &[f64],

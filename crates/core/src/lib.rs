@@ -417,7 +417,8 @@ mod tests {
             let req = net.request().with_bif(BifurcationConfig::new(dbif, eta)).with_seed(seed);
             let req = if goal_oriented { req.with_future(&fc) } else { req };
             let on = SessionConfig { encourage_root, ..SessionConfig::DEFAULT };
-            let (a, b) = (solve(&on, &req), solve(&SessionConfig { better_steiner: false, ..on }, &req));
+            let off = SessionConfig { better_steiner: false, ..on };
+            let (a, b) = (solve(&on, &req), solve(&off, &req));
             prop_assert_eq!(a.tree.edges().collect::<Vec<_>>(), b.tree.edges().collect::<Vec<_>>());
             prop_assert_eq!(a.evaluation.total.to_bits(), b.evaluation.total.to_bits());
         }
